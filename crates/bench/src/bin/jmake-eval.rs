@@ -39,14 +39,17 @@
 //!                      end-to-end wall µs, cache hit rates, scheduler
 //!                      stage counters, remediate-stage totals, portfolio
 //!                      coverage summary — see DESIGN.md) to FILE
-//!   --cache-dir DIR    persist the config and object caches under DIR
-//!                      (created if missing) and pre-load them from it,
-//!                      so a second run starts warm. Entries carry an
-//!                      integrity digest verified on load; corrupt or
-//!                      truncated files are quarantined under
-//!                      DIR/quarantine and recomputed live. Host-side
-//!                      only: reports are byte-identical cold vs. warm
-//!                      (the CI gate diffs them)
+//!   --cache-dir DIR    persist the config, object, and preprocess
+//!                      caches under DIR (created if missing) and
+//!                      pre-load them from it, so a second run starts
+//!                      warm. Each run appends at most one segment file
+//!                      holding only the records DIR lacked. Every record
+//!                      carries an integrity digest verified on load; a
+//!                      corrupt or truncated record is moved to
+//!                      DIR/quarantine, dropped from its segment, and
+//!                      recomputed live. Host-side only: reports are
+//!                      byte-identical cold vs. warm (the CI gate diffs
+//!                      them)
 //!   --stats            print driver statistics (cache hit rate,
 //!                      per-stage wall-clock, failure counts)
 //!   --trace FILE       write one JSON line per pipeline span to FILE

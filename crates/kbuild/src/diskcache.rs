@@ -1,51 +1,57 @@
-//! Persistent, digest-verified on-disk tier behind [`ConfigCache`] and
-//! [`ObjectCache`].
+//! Persistent, digest-verified on-disk tier behind [`ConfigCache`],
+//! [`ObjectCache`], and [`PreprocCache`].
 //!
-//! Both in-memory caches are content-addressed and immutable per key, so
-//! persisting them is safe by construction: an entry loaded from a
-//! previous run answers a lookup if and only if the *key* — which pins
+//! All three in-memory caches are content-addressed and immutable per
+//! key, so persisting them is safe by construction: an entry loaded from
+//! a previous run answers a lookup if and only if the *key* — which pins
 //! everything the outcome depends on — matches, and a warm hit charges
 //! the virtual clock exactly what a cold miss would, keeping reports
 //! byte-identical cold vs. warm (the CI gate diffs them).
 //!
-//! What the disk can do that memory cannot is rot. Every entry file
-//! carries an FNV-1a integrity digest of its payload, written at store
-//! time and re-verified on load; a mismatch (flipped bytes), a truncated
-//! payload, or an unparseable frame (torn concurrent write) routes the
-//! entry through the same quarantine discipline the PR-5 in-memory
-//! machinery applies to corrupted shards: the entry is moved to
-//! `<root>/quarantine/`, never served, counted in [`DiskTierStats`] and —
-//! when fault injection is active — in the shared
+//! What the disk can do that memory cannot is rot. Every record carries
+//! an FNV-1a digest of its payload, written at store time and re-verified
+//! on load; a mismatch (flipped bytes), a length that runs past the end
+//! of its segment (truncation, torn write), an unparseable header, or a
+//! payload that does not decode to the key its header names routes the
+//! record through the same quarantine discipline the in-memory machinery
+//! applies to corrupted shards: its bytes are copied to
+//! `<root>/quarantine/`, its segment is rewritten without it, it is never
+//! served, and it is counted in [`DiskTierStats`] and — when fault
+//! injection is active — in the shared
 //! [`FaultStats`](jmake_faults::FaultStats). The `jmake-faults` layer can
 //! also corrupt disk loads deterministically ([`FaultSite::CacheLookup`]
-//! with [`FaultKind::Corrupt`]), exercising the same detection path
-//! end-to-end.
+//! with [`FaultKind::Corrupt`], keyed by the record's 16-hex key digest),
+//! exercising the same detection path end-to-end.
 //!
 //! ## On-disk layout
 //!
 //! ```text
-//! <root>/objects/<hh>/<16-hex-key-digest>.entry   memoized .i/.o outcomes
-//! <root>/configs/<hh>/<16-hex-key-digest>.entry   solved configurations
-//! <root>/preproc/<hh>/<16-hex-key-digest>.entry   recorded header-inclusion effects
-//! <root>/quarantine/<filename>                    entries that failed verification
+//! <root>/segments/<16-hex>.seg                  one immutable segment per store
+//! <root>/quarantine/<segment>-<offset>.bad      records that failed verification
 //! ```
 //!
-//! `<hh>` is the first byte of the key digest in hex (256-way fan-out).
-//! Entry files are immutable once written: stores go to a temporary file
-//! in the same directory and `rename(2)` into place, and existing files
-//! are never rewritten (same name ⇒ same content-addressed key ⇒ same
-//! outcome). Eviction is by quarantine only — a corrupt entry is moved
-//! aside, everything healthy persists indefinitely.
+//! Each [`DiskCache::store`] writes every record not already held by some
+//! segment into one new segment: a temporary file with a name unique to
+//! the call, streamed through a buffer and `rename(2)`d into place, so a
+//! reader never observes a partial segment under its final name. A store
+//! with nothing new writes no file. Segments are never appended to; the
+//! only rewrite is quarantine dropping a corrupt record (again temp file +
+//! rename). A tree in the older one-file-per-entry layout (`objects/`,
+//! `configs/`, `preproc/`) is ignored: it reads as a cold tier.
 //!
-//! ## Entry format
+//! ## Segment format
 //!
 //! ```text
-//! jmake-cache v1 <object|config>\n
-//! <16-hex digest of payload>\n
+//! jmake-cache v2\n
+//! <kind> <16-hex key digest> <16-hex payload length> <16-hex payload digest>\n
 //! <payload>
+//! …one header + payload per record
 //! ```
 //!
-//! The payload is a deterministic sequence of length-prefixed fields (no
+//! `<kind>` is `object`, `config`, or `preproc`. Records are sorted by
+//! (kind, key digest) and the segment is named by a digest of that key
+//! list, so the same cache contents always give the same file. The
+//! payload is a deterministic sequence of length-prefixed fields (no
 //! escaping, so arbitrary file text round-trips byte-exactly).
 
 use crate::arch::ArchRegistry;
@@ -61,14 +67,21 @@ use jmake_cpp::{
 use jmake_faults::{FaultKind, FaultSite, Faults};
 use jmake_kconfig::{Config, Expr, KconfigModel, Symbol, SymbolType, Tristate};
 use std::collections::HashSet;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-const MAGIC_OBJECT: &str = "jmake-cache v1 object";
-const MAGIC_CONFIG: &str = "jmake-cache v1 config";
-const MAGIC_PREPROC: &str = "jmake-cache v1 preproc";
+const MAGIC: &[u8] = b"jmake-cache v2\n";
+
+/// Longest well-formed record header, newline included.
+const MAX_HEADER: u64 = 64;
+
+/// Per-process counter that makes every temporary file name unique, so
+/// two threads storing into one directory never share one.
+static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
 
 /// Counters for one load or store pass over the disk tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,7 +90,7 @@ pub struct DiskTierStats {
     pub objects_loaded: u64,
     /// Configuration entries verified and loaded.
     pub configs_loaded: u64,
-    /// Object entries written (existing files are never rewritten).
+    /// Object entries written (keys already on disk are never rewritten).
     pub objects_stored: u64,
     /// Configuration entries written.
     pub configs_stored: u64,
@@ -86,8 +99,8 @@ pub struct DiskTierStats {
     pub preproc_loaded: u64,
     /// Header-inclusion effects written.
     pub preproc_stored: u64,
-    /// Entry files that failed digest verification or parsing and were
-    /// moved to `<root>/quarantine/` — never served.
+    /// Records (or unframeable segment tails) that failed verification
+    /// and were moved to `<root>/quarantine/` — never served.
     pub entries_quarantined: u64,
 }
 
@@ -104,6 +117,142 @@ impl DiskTierStats {
     }
 }
 
+/// Which cache a record belongs to; the order is the segment's record
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Kind {
+    Object,
+    Config,
+    Preproc,
+}
+
+impl Kind {
+    fn tag(self) -> &'static str {
+        match self {
+            Kind::Object => "object",
+            Kind::Config => "config",
+            Kind::Preproc => "preproc",
+        }
+    }
+}
+
+/// One record's frame.
+#[derive(Debug, Clone, Copy)]
+struct Header {
+    kind: Kind,
+    key: u64,
+    len: u64,
+    digest: u64,
+}
+
+impl Header {
+    fn render(&self) -> String {
+        format!(
+            "{} {:016x} {:016x} {:016x}\n",
+            self.kind.tag(),
+            self.key,
+            self.len,
+            self.digest
+        )
+    }
+
+    fn parse(line: &[u8]) -> Option<Header> {
+        let line = std::str::from_utf8(line).ok()?.strip_suffix('\n')?;
+        let mut fields = line.split(' ');
+        let tag = fields.next()?;
+        let kind = [Kind::Object, Kind::Config, Kind::Preproc]
+            .into_iter()
+            .find(|k| k.tag() == tag)?;
+        let mut hex = || {
+            fields
+                .next()
+                .filter(|f| f.len() == 16 && f.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|f| u64::from_str_radix(f, 16).ok())
+        };
+        let header = Header {
+            kind,
+            key: hex()?,
+            len: hex()?,
+            digest: hex()?,
+        };
+        fields.next().is_none().then_some(header)
+    }
+}
+
+/// One step of a segment scan.
+enum Next {
+    /// A framed record and its payload (empty when the scan skips
+    /// payloads).
+    Record(Header, Vec<u8>),
+    /// Clean end of the segment.
+    End,
+    /// The bytes from the reader's position to the end of the file
+    /// cannot be framed: bad magic, a malformed header, or a length that
+    /// runs past EOF.
+    Unframed,
+}
+
+/// Sequential reader over one segment's records.
+struct Segment {
+    reader: BufReader<File>,
+    /// Offset of the next unread record; zero only when the magic is bad.
+    pos: u64,
+    len: u64,
+}
+
+impl Segment {
+    fn open(path: &Path) -> io::Result<Segment> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut reader = BufReader::new(file);
+        let mut magic = [0u8; MAGIC.len()];
+        let pos = match reader.read_exact(&mut magic) {
+            Ok(()) if magic == MAGIC => MAGIC.len() as u64,
+            _ => 0,
+        };
+        Ok(Segment { reader, pos, len })
+    }
+
+    /// The next record, reading its payload only when `payload` is set.
+    fn next(&mut self, payload: bool) -> Next {
+        if self.pos == 0 {
+            return Next::Unframed;
+        }
+        if self.pos == self.len {
+            return Next::End;
+        }
+        let mut line = Vec::new();
+        if (&mut self.reader)
+            .take(MAX_HEADER)
+            .read_until(b'\n', &mut line)
+            .is_err()
+        {
+            return Next::Unframed;
+        }
+        let Some(header) = Header::parse(&line) else {
+            return Next::Unframed;
+        };
+        // Bound the length by the file before allocating for it.
+        let start = self.pos + line.len() as u64;
+        let Some(end) = start.checked_add(header.len).filter(|&end| end <= self.len) else {
+            return Next::Unframed;
+        };
+        let mut body = Vec::new();
+        let read = if payload {
+            body.resize(header.len as usize, 0);
+            self.reader.read_exact(&mut body)
+        } else {
+            // `end <= len`, and a file length fits in an i64.
+            self.reader.seek_relative(header.len as i64)
+        };
+        if read.is_err() {
+            return Next::Unframed;
+        }
+        self.pos = end;
+        Next::Record(header, body)
+    }
+}
+
 /// Handle to one on-disk cache directory. See the module docs for layout
 /// and integrity rules.
 #[derive(Debug, Clone)]
@@ -115,9 +264,7 @@ impl DiskCache {
     /// Open (creating if needed) the cache rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = root.into();
-        std::fs::create_dir_all(root.join("objects"))?;
-        std::fs::create_dir_all(root.join("configs"))?;
-        std::fs::create_dir_all(root.join("preproc"))?;
+        std::fs::create_dir_all(root.join("segments"))?;
         std::fs::create_dir_all(root.join("quarantine"))?;
         Ok(DiskCache { root })
     }
@@ -127,11 +274,11 @@ impl DiskCache {
         &self.root
     }
 
-    /// Load every verifiable entry into `objects`, `configs`, and
-    /// `preproc`. Entries that fail digest verification or parsing —
-    /// including loads the fault plan corrupts — are quarantined, never
-    /// served. Entry files are visited in sorted order, so the pass is
-    /// deterministic.
+    /// Load every verifiable record into `objects`, `configs`, and
+    /// `preproc`. Records that fail framing, digest verification, or
+    /// decoding — including loads the fault plan corrupts — are
+    /// quarantined, never served. Segments and the records in them are
+    /// visited in sorted order, so the pass is deterministic.
     pub fn load(
         &self,
         objects: &ObjectCache,
@@ -141,50 +288,57 @@ impl DiskCache {
     ) -> io::Result<DiskTierStats> {
         let mut stats = DiskTierStats::default();
         let registry = ArchRegistry::new();
-        for path in self.entry_files("objects")? {
-            match self.read_verified(&path, MAGIC_OBJECT, faults) {
-                Ok(payload) => match decode_object_entry(&payload, &registry) {
-                    Ok((key, obj)) => {
+        for path in self.segments()? {
+            // A segment that vanished since the listing was removed by a
+            // concurrent quarantine.
+            let Ok(mut seg) = Segment::open(&path) else {
+                continue;
+            };
+            let mut bad = Vec::new();
+            loop {
+                let start = seg.pos;
+                let (header, payload) = match seg.next(true) {
+                    Next::Record(header, payload) => (header, payload),
+                    Next::End => break,
+                    Next::Unframed => {
+                        bad.push(start..seg.len);
+                        break;
+                    }
+                };
+                match admit(&header, &payload, &registry, faults) {
+                    Ok(Entry::Object(key, obj)) => {
                         objects.insert(key, Arc::new(obj));
                         stats.objects_loaded += 1;
                     }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-            }
-        }
-        for path in self.entry_files("configs")? {
-            match self.read_verified(&path, MAGIC_CONFIG, faults) {
-                Ok(payload) => match decode_config_entry(&payload, &registry) {
-                    Ok((fingerprint, content_fp, cfg)) => {
+                    Ok(Entry::Config(fingerprint, content_fp, cfg)) => {
                         let key = cfg.key().clone();
                         configs.insert(fingerprint, &key, content_fp, Arc::new(cfg));
                         stats.configs_loaded += 1;
                     }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-            }
-        }
-        for path in self.entry_files("preproc")? {
-            match self.read_verified(&path, MAGIC_PREPROC, faults) {
-                Ok(payload) => match decode_preproc_entry(&payload) {
-                    Ok((key, effect)) => {
+                    Ok(Entry::Preproc(key, effect)) => {
                         preproc.insert(key, Arc::new(effect));
                         stats.preproc_loaded += 1;
                     }
-                    Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
-                },
-                Err(reason) => self.quarantine(&path, &reason, faults, &mut stats),
+                    Err(_) => bad.push(start..seg.pos),
+                }
+            }
+            if !bad.is_empty() {
+                stats.entries_quarantined += bad.len() as u64;
+                if let Some(fault_stats) = faults.stats() {
+                    fault_stats
+                        .corruptions_detected
+                        .fetch_add(bad.len() as u64, Ordering::Relaxed);
+                }
+                self.quarantine(&path, seg.len, &bad);
             }
         }
         Ok(stats)
     }
 
-    /// Persist every entry currently held by `objects`, `configs`, and
-    /// `preproc`. Existing entry files are left untouched; new ones are
-    /// written to a temporary name and renamed into place, so a concurrent
-    /// reader never observes a partial entry under its final name.
+    /// Persist every entry held by `objects`, `configs`, and `preproc`
+    /// whose key no segment holds yet, as one new segment. Records are
+    /// encoded one at a time in (kind, key digest) order and streamed to
+    /// a temporary file that is renamed into place once complete.
     pub fn store(
         &self,
         objects: &ObjectCache,
@@ -192,163 +346,211 @@ impl DiskCache {
         preproc: &PreprocCache,
     ) -> io::Result<DiskTierStats> {
         let mut stats = DiskTierStats::default();
-        for (key, obj) in objects.snapshot() {
-            let payload = encode_object_entry(&key, &obj);
-            if self.write_entry("objects", object_key_digest(&key), MAGIC_OBJECT, &payload)? {
-                stats.objects_stored += 1;
-            }
+        let known = self.known_keys()?;
+        let objects = objects.snapshot();
+        let configs = configs.snapshot();
+        let preproc = preproc.snapshot();
+        // (kind, key digest, snapshot index) of every record to write.
+        let mut todo: Vec<(Kind, u64, usize)> = objects
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| (Kind::Object, object_key_digest(key), i))
+            .chain(configs.iter().enumerate().map(|(i, (fp, key, content_fp, _))| {
+                let digest = config_key_digest(*fp, key.arch(), key.kind_key(), *content_fp);
+                (Kind::Config, digest, i)
+            }))
+            .chain(
+                preproc
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (key, _))| (Kind::Preproc, preproc_key_digest(key), i)),
+            )
+            .filter(|(kind, digest, _)| !known.contains(&(*kind, *digest)))
+            .collect();
+        todo.sort_unstable();
+        todo.dedup_by_key(|(kind, digest, _)| (*kind, *digest));
+        if todo.is_empty() {
+            return Ok(stats);
         }
-        for (fingerprint, key, content_fp, cfg) in configs.snapshot() {
-            let payload = encode_config_entry(fingerprint, content_fp, &cfg);
-            let digest = config_key_digest(fingerprint, key.arch(), key.kind_key(), content_fp);
-            if self.write_entry("configs", digest, MAGIC_CONFIG, &payload)? {
-                stats.configs_stored += 1;
-            }
+
+        // Name the segment by its key list, so equal contents share a name.
+        let mut name = Fnv::new();
+        for &(kind, key, _) in &todo {
+            name.write(&[kind as u8]);
+            name.write(&key.to_le_bytes());
         }
-        for (key, effect) in preproc.snapshot() {
-            let payload = encode_preproc_entry(&key, &effect);
-            if self.write_entry("preproc", preproc_key_digest(&key), MAGIC_PREPROC, &payload)? {
-                stats.preproc_stored += 1;
+        let dest = self.root.join("segments").join(format!("{:016x}.seg", name.finish()));
+        write_atomically(&dest, |out| {
+            out.write_all(MAGIC)?;
+            for &(kind, key, i) in &todo {
+                let payload = match kind {
+                    Kind::Object => encode_object_entry(&objects[i].0, &objects[i].1),
+                    Kind::Config => encode_config_entry(configs[i].0, configs[i].2, &configs[i].3),
+                    Kind::Preproc => encode_preproc_entry(&preproc[i].0, &preproc[i].1),
+                };
+                let header = Header {
+                    kind,
+                    key,
+                    len: payload.len() as u64,
+                    digest: payload_digest(&payload),
+                };
+                out.write_all(header.render().as_bytes())?;
+                out.write_all(&payload)?;
+                match kind {
+                    Kind::Object => stats.objects_stored += 1,
+                    Kind::Config => stats.configs_stored += 1,
+                    Kind::Preproc => stats.preproc_stored += 1,
+                }
             }
-        }
+            Ok(())
+        })?;
         Ok(stats)
     }
 
-    /// All `.entry` files under `<root>/<section>/`, sorted.
-    fn entry_files(&self, section: &str) -> io::Result<Vec<PathBuf>> {
+    /// Every `.seg` file under `<root>/segments/`, sorted.
+    fn segments(&self) -> io::Result<Vec<PathBuf>> {
         let mut out = Vec::new();
-        let dir = self.root.join(section);
-        for bucket in std::fs::read_dir(&dir)? {
-            let bucket = bucket?.path();
-            if !bucket.is_dir() {
-                continue;
-            }
-            for entry in std::fs::read_dir(&bucket)? {
-                let path = entry?.path();
-                if path.extension().is_some_and(|e| e == "entry") {
-                    out.push(path);
-                }
+        for entry in std::fs::read_dir(self.root.join("segments"))? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "seg") {
+                out.push(path);
             }
         }
         out.sort();
         Ok(out)
     }
 
-    /// Read one entry file, check its frame and digest, and hand back the
-    /// payload bytes. The fault plan may corrupt the read (simulated media
-    /// rot), which the digest check then catches.
-    fn read_verified(
-        &self,
-        path: &Path,
-        magic: &str,
-        faults: &Faults,
-    ) -> Result<Vec<u8>, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let header_end = find_payload_start(&bytes).ok_or("truncated header")?;
-        let header = std::str::from_utf8(&bytes[..header_end]).map_err(|_| "malformed header")?;
-        let mut lines = header.lines();
-        let got_magic = lines.next().unwrap_or_default();
-        if got_magic != magic {
-            return Err(format!("bad magic {got_magic:?}"));
-        }
-        let digest_line = lines.next().unwrap_or_default();
-        let stored_digest =
-            u64::from_str_radix(digest_line, 16).map_err(|_| "malformed digest line")?;
-        let payload = &bytes[header_end..];
-        let mut served_digest = payload_digest(payload);
-        if faults.is_enabled() {
-            let identity = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default()
-                .to_string();
-            if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
-                served_digest ^= 0xdead_beef_dead_beef;
+    /// The (kind, key digest) of every record some segment frames, read
+    /// from the record headers alone.
+    fn known_keys(&self) -> io::Result<HashSet<(Kind, u64)>> {
+        let mut known = HashSet::new();
+        for path in self.segments()? {
+            let Ok(mut seg) = Segment::open(&path) else {
+                continue;
+            };
+            while let Next::Record(header, _) = seg.next(false) {
+                known.insert((header.kind, header.key));
             }
         }
-        if served_digest != stored_digest {
-            return Err("digest mismatch".to_string());
-        }
-        Ok(payload.to_vec())
+        Ok(known)
     }
 
-    /// Move a failed entry to `<root>/quarantine/` and count it —
-    /// the disk-tier analogue of flushing a corrupted in-memory shard.
-    fn quarantine(&self, path: &Path, reason: &str, faults: &Faults, stats: &mut DiskTierStats) {
-        stats.entries_quarantined += 1;
-        if let Some(fault_stats) = faults.stats() {
-            fault_stats.corruptions_detected.fetch_add(1, Ordering::Relaxed);
+    /// Copy the `bad` byte ranges of a segment to `<root>/quarantine/`
+    /// and rewrite the segment without them (removing it when no record
+    /// survives) — the disk-tier analogue of flushing a corrupted
+    /// in-memory shard. Best-effort: the bad records were already refused,
+    /// and a failed rewrite only means the next load refuses them again.
+    fn quarantine(&self, path: &Path, len: u64, bad: &[Range<u64>]) {
+        let Ok(bytes) = std::fs::read(path) else {
+            return;
+        };
+        if bytes.len() as u64 != len {
+            // Rewritten by a concurrent quarantine since we framed it.
+            return;
         }
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "unnamed.entry".to_string());
-        let dest = self.root.join("quarantine").join(name);
-        // Best-effort: if the move fails (another process already moved
-        // it), fall back to removal so the bad entry cannot be re-served.
-        if std::fs::rename(path, &dest).is_err() {
+        let stem = path.file_stem().unwrap_or_default().to_string_lossy();
+        let mut kept = Vec::with_capacity(bytes.len());
+        let mut at = 0;
+        for range in bad {
+            let (start, end) = (range.start as usize, range.end as usize);
+            kept.extend_from_slice(&bytes[at..start]);
+            let dest = self.root.join("quarantine").join(format!("{stem}-{start:016x}.bad"));
+            let _ = std::fs::write(dest, &bytes[start..end]);
+            at = end;
+        }
+        kept.extend_from_slice(&bytes[at..]);
+        if kept.len() <= MAGIC.len() {
+            let _ = std::fs::remove_file(path);
+            return;
+        }
+        if write_atomically(path, |out| out.write_all(&kept)).is_err() {
+            // Fall back to removal so the bad record cannot be re-read.
             let _ = std::fs::remove_file(path);
         }
-        let _ = reason; // reasons surface via stats; entries keep their bytes for post-mortem
-    }
-
-    /// Write one framed entry unless its file already exists. Returns
-    /// whether a new file was written.
-    fn write_entry(
-        &self,
-        section: &str,
-        key_digest: u64,
-        magic: &str,
-        payload: &[u8],
-    ) -> io::Result<bool> {
-        let bucket = self.root.join(section).join(format!("{:02x}", key_digest >> 56));
-        let dest = bucket.join(format!("{key_digest:016x}.entry"));
-        if dest.exists() {
-            return Ok(false);
-        }
-        std::fs::create_dir_all(&bucket)?;
-        let mut framed = Vec::with_capacity(payload.len() + 64);
-        framed.extend_from_slice(magic.as_bytes());
-        framed.push(b'\n');
-        framed.extend_from_slice(format!("{:016x}\n", payload_digest(payload)).as_bytes());
-        framed.extend_from_slice(payload);
-        let tmp = bucket.join(format!(
-            "{key_digest:016x}.tmp.{}",
-            std::process::id()
-        ));
-        std::fs::write(&tmp, &framed)?;
-        match std::fs::rename(&tmp, &dest) {
-            Ok(()) => Ok(true),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                // A concurrent writer beat us to it: same key, same
-                // content-addressed outcome — not an error.
-                if dest.exists() {
-                    Ok(false)
-                } else {
-                    Err(e)
-                }
-            }
-        }
     }
 }
 
-/// Byte offset where the payload starts: after the magic and digest
-/// lines. `None` when the frame is truncated before that.
-fn find_payload_start(bytes: &[u8]) -> Option<usize> {
-    let first_nl = bytes.iter().position(|&b| b == b'\n')?;
-    let second_nl = bytes[first_nl + 1..].iter().position(|&b| b == b'\n')?;
-    Some(first_nl + 1 + second_nl + 1)
+/// Write `dest` through a temporary file whose name is unique to this
+/// call, then rename it into place, so no reader ever sees it partial.
+fn write_atomically(
+    dest: &Path,
+    fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let tmp = dest.with_extension(format!(
+        "{}-{}.tmp",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = File::create(&tmp)
+        .and_then(|file| {
+            let mut out = BufWriter::new(file);
+            fill(&mut out)?;
+            out.flush()
+        })
+        .and_then(|()| std::fs::rename(&tmp, dest));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
-/// FNV-1a digest of an entry payload.
+/// One decoded record, ready to insert into its cache.
+enum Entry {
+    Object(ObjectKey, CachedObj),
+    Config(u64, u64, BuildConfig),
+    Preproc(IncludeKey, IncludeEffect),
+}
+
+/// Verify one framed record — payload digest (which the fault plan may
+/// corrupt, simulating media rot), complete decoding, and a decoded key
+/// that hashes to the key digest its header names.
+fn admit(
+    header: &Header,
+    payload: &[u8],
+    registry: &ArchRegistry,
+    faults: &Faults,
+) -> Result<Entry, String> {
+    let mut served_digest = payload_digest(payload);
+    if faults.is_enabled() {
+        let identity = format!("{:016x}", header.key);
+        if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
+            served_digest ^= 0xdead_beef_dead_beef;
+        }
+    }
+    if served_digest != header.digest {
+        return Err("digest mismatch".to_string());
+    }
+    let (entry, key) = match header.kind {
+        Kind::Object => {
+            let (key, obj) = decode_object_entry(payload, registry)?;
+            let digest = object_key_digest(&key);
+            (Entry::Object(key, obj), digest)
+        }
+        Kind::Config => {
+            let (fp, content_fp, cfg) = decode_config_entry(payload, registry)?;
+            let digest = config_key_digest(fp, cfg.key().arch(), cfg.key().kind_key(), content_fp);
+            (Entry::Config(fp, content_fp, cfg), digest)
+        }
+        Kind::Preproc => {
+            let (key, effect) = decode_preproc_entry(payload)?;
+            let digest = preproc_key_digest(&key);
+            (Entry::Preproc(key, effect), digest)
+        }
+    };
+    if key != header.key {
+        return Err("key digest mismatch".to_string());
+    }
+    Ok(entry)
+}
+
+/// FNV-1a digest of a record payload.
 fn payload_digest(payload: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(payload);
     h.finish()
 }
 
-/// Stable file name for one object key.
+/// Stable key digest for one object key.
 fn object_key_digest(key: &ObjectKey) -> u64 {
     let mut h = Fnv::new();
     h.write(&key.blob.hi().to_le_bytes());
@@ -362,7 +564,7 @@ fn object_key_digest(key: &ObjectKey) -> u64 {
     h.finish()
 }
 
-/// Stable file name for one preprocess-memo key.
+/// Stable key digest for one preprocess-memo key.
 fn preproc_key_digest(key: &IncludeKey) -> u64 {
     let mut h = Fnv::new();
     h.write(key.path.as_bytes());
@@ -374,7 +576,7 @@ fn preproc_key_digest(key: &IncludeKey) -> u64 {
     h.finish()
 }
 
-/// Stable file name for one config-cache key.
+/// Stable key digest for one config-cache key.
 fn config_key_digest(fingerprint: u64, arch: &str, kind_key: &str, content_fp: u64) -> u64 {
     let mut h = Fnv::new();
     h.write(&fingerprint.to_le_bytes());
@@ -1398,12 +1600,15 @@ mod tests {
             (stored.objects_stored, stored.configs_stored, stored.preproc_stored),
             (1, 1, 1)
         );
-        // Storing again writes nothing: entries are immutable.
+        let listing = segments(&dir);
+        assert_eq!(listing.len(), 1, "one store, one segment");
+        // Storing again writes nothing: every key is already on disk.
         let again = disk.store(&objects, &configs, &preproc).unwrap();
         assert_eq!(
             (again.objects_stored, again.configs_stored, again.preproc_stored),
             (0, 0, 0)
         );
+        assert_eq!(segments(&dir), listing, "a store with nothing new writes no file");
 
         let objects2 = ObjectCache::new();
         let configs2 = ConfigCache::new();
@@ -1419,6 +1624,25 @@ mod tests {
         assert!(objects2.peek(&key).is_some());
         assert!(configs2.peek(5, cfg.key(), 0).is_some());
         assert!(preproc2.lookup(&pkey).is_some());
+
+        // Load-then-store on an unchanged tier creates no new segment.
+        let restored = disk.store(&objects2, &configs2, &preproc2).unwrap();
+        assert_eq!(restored, DiskTierStats::default());
+        assert_eq!(segments(&dir), listing);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_file_per_entry_trees_read_as_a_cold_tier() {
+        let dir = tempdir("v1");
+        let entry = dir.join("objects").join("ab").join("ab00000000000000.entry");
+        std::fs::create_dir_all(entry.parent().unwrap()).unwrap();
+        std::fs::write(&entry, "jmake-cache v1 object\n0000000000000000\n").unwrap();
+        let disk = DiskCache::open(&dir).unwrap();
+        let (objects, configs, preproc) = (ObjectCache::new(), ConfigCache::new(), PreprocCache::new());
+        let loaded = disk.load(&objects, &configs, &preproc, &Faults::disabled()).unwrap();
+        assert_eq!(loaded, DiskTierStats::default());
+        assert!(entry.exists(), "an old tree is ignored, not quarantined");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1431,9 +1655,9 @@ mod tests {
         let (key, obj) = sample_object();
         objects.insert(key.clone(), Arc::new(obj));
         disk.store(&objects, &configs, &PreprocCache::new()).unwrap();
-        let entry = find_one_entry(&dir, "objects");
-        let bytes = std::fs::read(&entry).unwrap();
-        std::fs::write(&entry, &bytes[..bytes.len() / 2]).unwrap();
+        let segment = only_segment(&dir);
+        let bytes = std::fs::read(&segment).unwrap();
+        std::fs::write(&segment, &bytes[..bytes.len() / 2]).unwrap();
 
         let objects2 = ObjectCache::new();
         let loaded = disk
@@ -1442,7 +1666,7 @@ mod tests {
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
         assert!(objects2.peek(&key).is_none());
-        assert!(!entry.exists(), "corrupt entry must leave the live tree");
+        assert!(!segment.exists(), "corrupt record must leave the live tier");
         assert!(dir.join("quarantine").read_dir().unwrap().next().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1456,12 +1680,14 @@ mod tests {
         let (key, obj) = sample_object();
         objects.insert(key.clone(), Arc::new(obj));
         disk.store(&objects, &configs, &PreprocCache::new()).unwrap();
-        let entry = find_one_entry(&dir, "objects");
-        let mut bytes = std::fs::read(&entry).unwrap();
-        // Flip one hex digit of the digest line (second line).
-        let digest_pos = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        let segment = only_segment(&dir);
+        let mut bytes = std::fs::read(&segment).unwrap();
+        // Flip one hex digit of the record's payload-digest field, the
+        // last field of its header.
+        let (records, _) = frame(&segment);
+        let digest_pos = records[0].2 as usize - 17;
         bytes[digest_pos] = if bytes[digest_pos] == b'0' { b'1' } else { b'0' };
-        std::fs::write(&entry, &bytes).unwrap();
+        std::fs::write(&segment, &bytes).unwrap();
 
         let objects2 = ObjectCache::new();
         let loaded = disk
@@ -1470,6 +1696,7 @@ mod tests {
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
         assert!(objects2.peek(&key).is_none());
+        assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1480,7 +1707,7 @@ mod tests {
         let objects = ObjectCache::new();
         let configs = ConfigCache::new();
         let (key, obj) = sample_object();
-        objects.insert(key, Arc::new(obj));
+        objects.insert(key.clone(), Arc::new(obj));
         disk.store(&objects, &configs, &PreprocCache::new()).unwrap();
 
         let faults = Faults::new(FaultSpec::default().with_rate(FaultKind::Corrupt, 1.0), 9);
@@ -1490,10 +1717,231 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
+        assert!(objects2.peek(&key).is_none());
+        assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
         let snap = faults.stats_snapshot();
         assert_eq!(snap.corruptions_detected, 1);
         assert!(snap.injected_corrupt >= 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mid_segment_truncation_serves_exactly_the_records_before_the_cut() {
+        let dir = tempdir("midcut");
+        let disk = DiskCache::open(&dir).unwrap();
+        let objects = ObjectCache::new();
+        for (key, obj) in sample_objects(8) {
+            objects.insert(key, Arc::new(obj));
+        }
+        let original = contents(&objects, &ConfigCache::new(), &PreprocCache::new());
+        disk.store(&objects, &ConfigCache::new(), &PreprocCache::new())
+            .unwrap();
+        let segment = only_segment(&dir);
+        let (records, tail) = frame(&segment);
+        assert_eq!((records.len(), tail), (8, false));
+        // Cut through the middle of the fifth record's payload.
+        let (header, _, payload_start) = records[4];
+        let cut = payload_start + header.len / 2;
+        let bytes = std::fs::read(&segment).unwrap();
+        std::fs::write(&segment, &bytes[..cut as usize]).unwrap();
+
+        let objects2 = ObjectCache::new();
+        let (configs2, preproc2) = (ConfigCache::new(), PreprocCache::new());
+        let loaded = disk
+            .load(&objects2, &configs2, &preproc2, &Faults::disabled())
+            .unwrap();
+        assert_eq!(loaded.objects_loaded, 4, "every record wholly before the cut loads");
+        assert_eq!(loaded.entries_quarantined, 1, "the cut record, and only it");
+        let served = contents(&objects2, &configs2, &preproc2);
+        let before: Vec<_> = records[..4].iter().map(|(h, _, _)| (h.kind, h.key)).collect();
+        assert_eq!(served.keys().copied().collect::<Vec<_>>(), before);
+        for (key, payload) in &served {
+            assert_eq!(original.get(key), Some(payload), "wrong value served for {key:?}");
+        }
+        // The rewritten segment is clean and keeps the survivors.
+        let again = disk
+            .load(&ObjectCache::new(), &configs2, &preproc2, &Faults::disabled())
+            .unwrap();
+        assert_eq!((again.objects_loaded, again.entries_quarantined), (4, 0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_stores_into_one_dir_load_as_the_union() {
+        let (left, right) = (ObjectCache::new(), ObjectCache::new());
+        // Overlapping halves: both caches hold keys 60..140.
+        let pairs = sample_objects(200).into_iter().zip(sample_objects(200));
+        for (i, ((key, a), (_, b))) in pairs.enumerate() {
+            if i < 140 {
+                left.insert(key.clone(), Arc::new(a));
+            }
+            if i >= 60 {
+                right.insert(key, Arc::new(b));
+            }
+        }
+        let (configs, preproc) = (ConfigCache::new(), PreprocCache::new());
+        for round in 0..10 {
+            let dir = tempdir(&format!("race-{round}"));
+            let disk = DiskCache::open(&dir).unwrap();
+            // Four stores at once; equal caches race for one segment name.
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for cache in [&left, &right, &left, &right] {
+                    let (disk, barrier) = (&disk, &barrier);
+                    let (configs, preproc) = (&configs, &preproc);
+                    s.spawn(move || {
+                        barrier.wait();
+                        disk.store(cache, configs, preproc).unwrap();
+                    });
+                }
+            });
+            let leftovers: Vec<_> = std::fs::read_dir(dir.join("segments"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_none_or(|e| e != "seg"))
+                .collect();
+            assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+
+            let loaded_objects = ObjectCache::new();
+            let loaded = disk
+                .load(&loaded_objects, &configs, &preproc, &Faults::disabled())
+                .unwrap();
+            assert_eq!(loaded.entries_quarantined, 0, "round {round}");
+            for (key, _) in sample_objects(200) {
+                assert!(loaded_objects.peek(&key).is_some(), "{key:?} missing from the union");
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn equal_caches_store_byte_identical_segments() {
+        let (a, b) = (tempdir("det-a"), tempdir("det-b"));
+        // Fill the second set of caches in the opposite order: segment
+        // bytes must not depend on insertion or hash-map iteration order.
+        let forward = filled(sample_objects(40));
+        let mut reversed = sample_objects(40);
+        reversed.reverse();
+        let backward = filled(reversed);
+        for (dir, (objects, configs, preproc)) in [(&a, &forward), (&b, &backward)] {
+            DiskCache::open(dir).unwrap().store(objects, configs, preproc).unwrap();
+        }
+        let (seg_a, seg_b) = (only_segment(&a), only_segment(&b));
+        assert_eq!(seg_a.file_name(), seg_b.file_name());
+        assert_eq!(std::fs::read(&seg_a).unwrap(), std::fs::read(&seg_b).unwrap());
+        std::fs::remove_dir_all(&a).unwrap();
+        std::fs::remove_dir_all(&b).unwrap();
+    }
+
+    /// Structured fuzzing of the segment decoder, a trust boundary: a real
+    /// segment mutated by byte flips, truncation, insertion, and
+    /// length-field edits must load without panicking or hanging, serve
+    /// only values equal to the original for their key, and account for
+    /// every record it could frame as either loaded or quarantined.
+    #[test]
+    fn mutated_segments_never_panic_hang_or_serve_a_wrong_value() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::time::{Duration, Instant};
+
+        let seed_dir = tempdir("fuzz-seed");
+        let (objects, configs, preproc) = filled(sample_objects(6));
+        let original = contents(&objects, &configs, &preproc);
+        DiskCache::open(&seed_dir)
+            .unwrap()
+            .store(&objects, &configs, &preproc)
+            .unwrap();
+        let seed_segment = only_segment(&seed_dir);
+        let (records, _) = frame(&seed_segment);
+        let seed_bytes = std::fs::read(&seed_segment).unwrap();
+
+        let mut rng = StdRng::seed_from_u64(0x5e67_f422);
+        for case in 0..400 {
+            let mut bytes = seed_bytes.clone();
+            match case % 4 {
+                0 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let at = rng.gen_range(0..bytes.len());
+                        bytes[at] ^= rng.gen_range(1..=255u8);
+                    }
+                }
+                1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+                2 => {
+                    let at = rng.gen_range(0..=bytes.len());
+                    for _ in 0..rng.gen_range(1..9) {
+                        bytes.insert(at, rng.gen_range(0..=255u8));
+                    }
+                }
+                _ => {
+                    let (header, start, _) = records[rng.gen_range(0..records.len())];
+                    let len = match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => header.len + 1,
+                        2 => header.len - 1,
+                        _ => rng.gen::<u64>(),
+                    };
+                    // `<kind> <16-hex key> <16-hex length> …`
+                    let field = start as usize + header.kind.tag().len() + 18;
+                    bytes[field..field + 16].copy_from_slice(format!("{len:016x}").as_bytes());
+                }
+            }
+
+            let dir = tempdir("fuzz-case");
+            let disk = DiskCache::open(&dir).unwrap();
+            let segment = dir.join("segments").join("0000000000000000.seg");
+            std::fs::write(&segment, &bytes).unwrap();
+            let (framed, tail) = frame(&segment);
+            let caches = (ObjectCache::new(), ConfigCache::new(), PreprocCache::new());
+            let started = Instant::now();
+            let loaded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                disk.load(&caches.0, &caches.1, &caches.2, &Faults::disabled())
+            }))
+            .unwrap_or_else(|_| panic!("case {case}: load panicked"))
+            .unwrap();
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "case {case}: load took {:?}",
+                started.elapsed()
+            );
+            let served_values = contents(&caches.0, &caches.1, &caches.2);
+            for (key, payload) in &served_values {
+                assert_eq!(
+                    original.get(key),
+                    Some(payload),
+                    "case {case}: wrong value served for {key:?}"
+                );
+            }
+            let served = loaded.objects_loaded + loaded.configs_loaded + loaded.preproc_loaded;
+            assert_eq!(
+                served + loaded.entries_quarantined,
+                framed.len() as u64 + u64::from(tail),
+                "case {case}: a framed record was neither loaded nor quarantined"
+            );
+            // Quarantine leaves a clean tier holding exactly the survivors,
+            // each under the key its header names.
+            let survivors: Vec<_> = segments(&dir)
+                .iter()
+                .flat_map(|seg| frame(seg).0)
+                .map(|(header, _, _)| (header.kind, header.key))
+                .collect();
+            assert_eq!(
+                survivors,
+                served_values.keys().copied().collect::<Vec<_>>(),
+                "case {case}"
+            );
+            let caches = (ObjectCache::new(), ConfigCache::new(), PreprocCache::new());
+            let again = disk
+                .load(&caches.0, &caches.1, &caches.2, &Faults::disabled())
+                .unwrap();
+            assert_eq!(again.entries_quarantined, 0, "case {case}");
+            assert_eq!(
+                again.objects_loaded + again.configs_loaded + again.preproc_loaded,
+                served,
+                "case {case}"
+            );
+        }
+        std::fs::remove_dir_all(tempdir("fuzz-case")).unwrap_or_default();
+        std::fs::remove_dir_all(&seed_dir).unwrap();
     }
 
     mod preproc_props {
@@ -1581,8 +2029,85 @@ mod tests {
         dir
     }
 
-    fn find_one_entry(root: &Path, section: &str) -> PathBuf {
-        let disk = DiskCache { root: root.to_path_buf() };
-        disk.entry_files(section).unwrap().pop().expect("one entry")
+    /// `n` distinct object entries, alternating `.i` and `.o` outcomes.
+    fn sample_objects(n: usize) -> Vec<(ObjectKey, CachedObj)> {
+        (0..n)
+            .map(|i| {
+                let (key, obj) = sample_object();
+                let key = ObjectKey {
+                    path: Arc::from(format!("drivers/net/f{i}.c").as_str()),
+                    include_fp: i as u64,
+                    ..key
+                };
+                if i % 2 == 0 {
+                    return (key, obj);
+                }
+                let obj = CachedObj::O {
+                    text_len: i as u64,
+                    result: Err(BuildError::MissingFile(format!("f{i}.h"))),
+                };
+                (ObjectKey { kind: ObjKind::O, ..key }, obj)
+            })
+            .collect()
+    }
+
+    /// Caches holding `objects` plus the sample config and preproc entry.
+    fn filled(objects: Vec<(ObjectKey, CachedObj)>) -> (ObjectCache, ConfigCache, PreprocCache) {
+        let caches = (ObjectCache::new(), ConfigCache::new(), PreprocCache::new());
+        for (key, obj) in objects {
+            caches.0.insert(key, Arc::new(obj));
+        }
+        let cfg = solved_config();
+        caches.1.insert(5, &cfg.key().clone(), 0, cfg);
+        let (key, effect) = sample_preproc();
+        caches.2.insert(key, Arc::new(effect));
+        caches
+    }
+
+    /// Every cached value as the record payload it encodes to, by
+    /// (kind, key digest).
+    fn contents(
+        objects: &ObjectCache,
+        configs: &ConfigCache,
+        preproc: &PreprocCache,
+    ) -> std::collections::BTreeMap<(Kind, u64), Vec<u8>> {
+        let objects = objects
+            .snapshot()
+            .into_iter()
+            .map(|(k, v)| ((Kind::Object, object_key_digest(&k)), encode_object_entry(&k, &v)));
+        let configs = configs.snapshot().into_iter().map(|(fp, k, content_fp, cfg)| {
+            let digest = config_key_digest(fp, k.arch(), k.kind_key(), content_fp);
+            ((Kind::Config, digest), encode_config_entry(fp, content_fp, &cfg))
+        });
+        let preproc = preproc
+            .snapshot()
+            .into_iter()
+            .map(|(k, v)| ((Kind::Preproc, preproc_key_digest(&k)), encode_preproc_entry(&k, &v)));
+        objects.chain(configs).chain(preproc).collect()
+    }
+
+    fn segments(root: &Path) -> Vec<PathBuf> {
+        DiskCache { root: root.to_path_buf() }.segments().unwrap()
+    }
+
+    fn only_segment(root: &Path) -> PathBuf {
+        let mut all = segments(root);
+        assert_eq!(all.len(), 1, "expected exactly one segment");
+        all.pop().expect("one segment")
+    }
+
+    /// Every record `path` frames as (header, record start, payload
+    /// start), and whether an unframeable tail follows them.
+    fn frame(path: &Path) -> (Vec<(Header, u64, u64)>, bool) {
+        let mut seg = Segment::open(path).unwrap();
+        let mut records = Vec::new();
+        loop {
+            let start = seg.pos;
+            match seg.next(false) {
+                Next::Record(header, _) => records.push((header, start, seg.pos - header.len)),
+                Next::End => return (records, false),
+                Next::Unframed => return (records, true),
+            }
+        }
     }
 }
