@@ -395,13 +395,13 @@ fn config_key_lookup(c: &mut Criterion) {
     group.bench_function("lookup_interned_key", |b| {
         let key = ConfigKey::new("powerpc", &ConfigKind::AllMod);
         let content_fp = ConfigKind::AllMod.content_fingerprint();
-        b.iter(|| cache.peek(fingerprint, &key, content_fp))
+        b.iter(|| cache.get(fingerprint, &key, content_fp))
     });
     group.bench_function("lookup_with_key_construction", |b| {
         // What a caller pays when it has not interned the key yet.
         b.iter(|| {
             let key = ConfigKey::new("powerpc", &ConfigKind::AllMod);
-            cache.peek(fingerprint, &key, ConfigKind::AllMod.content_fingerprint())
+            cache.get(fingerprint, &key, ConfigKind::AllMod.content_fingerprint())
         })
     });
     group.finish();

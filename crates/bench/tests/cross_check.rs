@@ -24,7 +24,6 @@ fn eval(
             workers,
             shared_cache: caches,
             object_cache: caches,
-            work_stealing: caches,
             ..DriverOptions::default()
         },
     )

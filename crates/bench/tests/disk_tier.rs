@@ -90,16 +90,12 @@ fn cold_warm_warm_reports_are_byte_identical_across_worker_counts() {
                 loaded.preproc_loaded > 0,
                 "{round} run with {workers} worker(s) loaded no preproc entries"
             );
-            // With more than one worker, speculative warm probes may
-            // compute entries that no check uses and the cold run left
-            // out; a single worker runs no probes and needs nothing new.
-            if workers == 1 {
-                assert_eq!(
-                    stored,
-                    DiskTierStats::default(),
-                    "{round} run with one worker stored records the tier already held"
-                );
-            }
+            // A warm run needs nothing the cold run did not already store.
+            assert_eq!(
+                stored,
+                DiskTierStats::default(),
+                "{round} run with {workers} worker(s) stored records the tier already held"
+            );
         }
     }
 

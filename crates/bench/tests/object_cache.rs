@@ -1,8 +1,8 @@
 //! Soundness and bit-identity tests for the content-addressed object
-//! cache and the work-stealing driver (DESIGN.md §7).
+//! cache and the parallel driver (DESIGN.md §7).
 //!
-//! The contract under test: host-side caches and speculative warming may
-//! change wall-clock time only — every report, every virtual-time sample,
+//! The contract under test: host-side caches may change wall-clock time
+//! only — every report, every virtual-time sample,
 //! and every per-patch outcome must be bit-identical whichever caches are
 //! on and however many workers run.
 
@@ -101,7 +101,6 @@ fn eval(
     workers: usize,
     shared_cache: bool,
     object_cache: bool,
-    work_stealing: bool,
     handle: Option<Arc<ObjectCache>>,
 ) -> EvaluationRun {
     run_evaluation(
@@ -111,7 +110,6 @@ fn eval(
             workers,
             shared_cache,
             object_cache,
-            work_stealing,
             object_cache_handle: handle,
             ..DriverOptions::default()
         },
@@ -119,9 +117,8 @@ fn eval(
 }
 
 /// The full matrix the issue calls out: {workers 1, 8} × {object cache
-/// on/off} × {shared config cache on/off}, work stealing enabled wherever
-/// its prerequisites hold. Reports AND Figure-4 sample streams must match
-/// the most conservative configuration bit for bit.
+/// on/off} × {shared config cache on/off}. Reports AND Figure-4 sample
+/// streams must match the most conservative configuration bit for bit.
 #[test]
 fn reports_and_samples_bit_identical_across_the_matrix() {
     let profile = WorkloadProfile {
@@ -135,7 +132,7 @@ fn reports_and_samples_bit_identical_across_the_matrix() {
         .unwrap();
     assert!(!commits.is_empty());
 
-    let baseline = eval(&workload, &commits, 1, false, false, false, None);
+    let baseline = eval(&workload, &commits, 1, false, false, None);
     assert_eq!(baseline.results.len(), commits.len());
 
     for workers in [1, 8] {
@@ -147,7 +144,6 @@ fn reports_and_samples_bit_identical_across_the_matrix() {
                     workers,
                     shared_cache,
                     object_cache,
-                    true,
                     None,
                 );
                 let label = format!(
@@ -158,11 +154,6 @@ fn reports_and_samples_bit_identical_across_the_matrix() {
             }
         }
     }
-
-    // Stealing explicitly off at 8 workers with both caches on.
-    let run = eval(&workload, &commits, 8, true, true, false, None);
-    assert_eq!(run.results, baseline.results);
-    assert_eq!(run.samples, baseline.samples);
 }
 
 /// A warm cache reused across runs (cold vs warm) changes wall-clock
@@ -186,14 +177,12 @@ fn warm_cache_replays_identically_and_hits() {
         4,
         true,
         true,
-        true,
         Some(Arc::clone(&handle)),
     );
     let warm = eval(
         &workload,
         &commits,
         4,
-        true,
         true,
         true,
         Some(Arc::clone(&handle)),

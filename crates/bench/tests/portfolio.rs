@@ -55,7 +55,6 @@ fn run(
         shared_cache: caches,
         object_cache: caches,
         preproc_cache: caches,
-        work_stealing: caches,
         ..DriverOptions::default()
     };
     driver.jmake.portfolio = selected.seeds();

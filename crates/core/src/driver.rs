@@ -41,33 +41,19 @@
 //!   the recording instead of re-expanding it; the virtual clock is
 //!   charged per `make` invocation above this layer, so timings are
 //!   unchanged.
-//! - **Idle workers warm caches for busy ones.** With
-//!   [`DriverOptions::work_stealing`] (the default), speculative work is
-//!   expressed as typed packets — `Plan`, `Preprocess`, `Compile`,
-//!   `Classify` — flowing through per-stage bounded injector queues plus
-//!   per-worker locality deques. A worker out of authoritative patches
-//!   drains its own deque first, then the stage injectors in pipeline
-//!   order, and only then steals from peers (injector-first stealing).
-//!   Packets run host-side only: no virtual clock, no tracer, no
-//!   authoritative cache counters — the per-patch pipeline stays
-//!   sequential, so reports, samples, and stats are unchanged. Queue
-//!   pressure is visible as [`SchedulerStats`] and `sched_*` trace
-//!   counters.
 
-use crate::check::{JMake, Options, WarmProbe};
+use crate::check::{JMake, Options};
 use crate::report::PatchReport;
-use jmake_diff::Patch;
 use jmake_faults::{FaultKind, FaultSite, FaultStatsSnapshot, Faults};
 use jmake_kbuild::{
-    warm_object_entry, BuildConfig, BuildEngine, CacheStats, ConfigCache, ConfigKey, ContentHash,
-    ObjKind, ObjectCache, ObjectCacheStats, PreprocCache, PreprocCacheStats, Samples, SourceTree,
+    BuildEngine, CacheStats, ConfigCache, ContentHash, ObjectCache, ObjectCacheStats, PreprocCache,
+    PreprocCacheStats, Samples,
 };
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::{CommitId, Repo};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Options for an evaluation run.
@@ -89,12 +75,6 @@ pub struct DriverOptions {
     /// workers (the content-addressed [`PreprocCache`]). Host wall-clock
     /// only; reports and virtual timings are identical with or without.
     pub preproc_cache: bool,
-    /// Split patches into speculative typed work packets (plan,
-    /// preprocess, compile, classify) that idle workers execute, so one
-    /// heavy patch no longer leaves the rest of the pool idle. Requires
-    /// both the config and object caches; automatically off at one
-    /// worker. Host wall-clock only.
-    pub work_stealing: bool,
     /// Reuse an existing object cache instead of starting cold — lets
     /// benchmarks measure warm runs and long-lived tools keep their cache
     /// across `run_evaluation` calls. Ignored when `object_cache` is off.
@@ -127,7 +107,6 @@ impl Default for DriverOptions {
             shared_cache: true,
             object_cache: true,
             preproc_cache: true,
-            work_stealing: true,
             object_cache_handle: None,
             config_cache_handle: None,
             preproc_cache_handle: None,
@@ -227,13 +206,11 @@ pub struct DriverStats {
     /// Shared configuration-cache counters (zero when sharing is off).
     pub cache: CacheStats,
     /// Shared object-cache counters (zero when the object cache is off).
-    /// Hits/misses count only the authoritative engines' lookups;
-    /// speculative warm probes peek without counting.
     pub object: ObjectCacheStats,
     /// Shared preprocess-cache counters (zero when the cache is off).
     pub preproc: PreprocCacheStats,
-    /// Typed warm-packet scheduler counters (all zero when work stealing
-    /// is off or the run had a single worker).
+    /// Always zero: the driver has no scheduler. Kept only because the
+    /// benchmark ledger still reads it; see [`SchedulerStats`].
     pub scheduler: SchedulerStats,
     /// Wall-clock spent in `checkout`, summed across workers (µs).
     pub checkout_wall_us: u64,
@@ -287,22 +264,6 @@ impl DriverStats {
             self.preproc.closure_hits,
             self.preproc.closure_hits + self.preproc.closure_misses
         ));
-        if self.scheduler.enqueued_total() > 0 {
-            let s = &self.scheduler;
-            out.push_str(&format!(
-                "  warm packets    plan {}/{}, preprocess {}/{}, compile {}/{}, classify {}/{}  (executed/enqueued, {} dropped, peak depth {})\n",
-                s.plan.executed,
-                s.plan.enqueued,
-                s.preprocess.executed,
-                s.preprocess.enqueued,
-                s.compile.executed,
-                s.compile.enqueued,
-                s.classify.executed,
-                s.classify.enqueued,
-                s.dropped_total(),
-                s.peak_depth()
-            ));
-        }
         out.push_str(&format!(
             "  stage wall      checkout {:.1} ms, show {:.1} ms, check {:.1} ms (summed over workers)\n",
             self.checkout_wall_us as f64 / 1e3,
@@ -362,374 +323,25 @@ struct WorkerOutput {
     check_us: u64,
 }
 
-/// Everything a speculative warm unit needs to know about its patch.
-/// `done` flips when the authoritative check finishes (or dies), turning
-/// every outstanding unit of this patch into a no-op.
-struct PatchCtx {
-    base: Arc<SourceTree>,
-    patch: Patch,
-    fingerprint: u64,
-    done: AtomicBool,
-}
-
-/// Marks the patch context done on drop — including when the
-/// authoritative check panics past its guard.
-struct DoneOnDrop(Arc<PatchCtx>);
-
-impl Drop for DoneOnDrop {
-    fn drop(&mut self) {
-        self.0.done.store(true, Ordering::Release);
-    }
-}
-
-/// One typed, schedulable warm packet. Each variant names the pipeline
-/// stage it performs, so the scheduler can give every stage its own
-/// bounded queue and drain them in pipeline order.
-enum Packet {
-    /// Expand a patch into per-(file × arch × config) probes. Planning is
-    /// itself stealable work: the owner only enqueues this marker, so the
-    /// mutation/selector replay runs on an idle worker, not on the
-    /// patch's critical path.
-    Plan(Arc<PatchCtx>),
-    /// Warm one `.i` entry: preprocess the mutated tree under one
-    /// (arch × config) and memoize the outcome in the object cache.
-    Preprocess {
-        ctx: Arc<PatchCtx>,
-        tree: Arc<SourceTree>,
-        probe: WarmProbe,
-    },
-    /// Warm one `.o` entry: compile the pristine tree under one
-    /// (arch × config) and memoize the outcome in the object cache.
-    Compile {
-        ctx: Arc<PatchCtx>,
-        tree: Arc<SourceTree>,
-        probe: WarmProbe,
-    },
-    /// Warm the classifier's inputs: force the O(symbols²) dead-symbol
-    /// lint of a configuration a compile probe just ran under, so the
-    /// authoritative classify stage finds it precomputed.
-    Classify {
-        ctx: Arc<PatchCtx>,
-        cfg: Arc<BuildConfig>,
-    },
-}
-
-/// The scheduler stages, in drain (pipeline) order: planning first —
-/// it is what generates the downstream packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StageKind {
-    Plan = 0,
-    Preprocess = 1,
-    Compile = 2,
-    Classify = 3,
-}
-
-impl StageKind {
-    const COUNT: usize = 4;
-
-    /// Bound for the stage's injector queue. Speculative packets are
-    /// droppable by construction (the authoritative check recomputes
-    /// anything missing), so overflow sheds load instead of growing
-    /// without bound: at most one plan per in-flight patch, fan-out
-    /// probes capped well above any real patch's probe count.
-    fn cap(self) -> usize {
-        match self {
-            StageKind::Plan => 1024,
-            StageKind::Preprocess | StageKind::Compile => 4096,
-            StageKind::Classify => 1024,
-        }
-    }
-}
-
-impl Packet {
-    fn stage(&self) -> StageKind {
-        match self {
-            Packet::Plan(_) => StageKind::Plan,
-            Packet::Preprocess { .. } => StageKind::Preprocess,
-            Packet::Compile { .. } => StageKind::Compile,
-            Packet::Classify { .. } => StageKind::Classify,
-        }
-    }
-}
-
-/// Counters for one scheduler stage.
+/// Counters of one removed scheduler stage; always zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageQueueStats {
-    /// Packets accepted into a queue (injector or locality deque).
+    /// Always zero.
     pub enqueued: u64,
-    /// Packets taken and run by a worker (no-op runs included).
+    /// Always zero.
     pub executed: u64,
-    /// Packets rejected because the bounded queue was full.
+    /// Always zero.
     pub dropped: u64,
-    /// Largest injector depth observed.
-    pub peak_depth: u64,
 }
 
-/// Per-stage counters of the typed warm-packet scheduler, surfaced in
-/// [`DriverStats`] and (as `sched_*` counters) in the trace.
+/// A placeholder for the removed speculative warm-packet scheduler: the
+/// driver runs no speculative work, so nothing writes to it. It exists
+/// only because the benchmark ledger still reads `plan` for its
+/// `driver.sched.*` rows; a later change to the benchmark removes both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// `Plan` packets: patch → probe expansion.
+    /// Always zero.
     pub plan: StageQueueStats,
-    /// `Preprocess` packets: `.i` warm probes.
-    pub preprocess: StageQueueStats,
-    /// `Compile` packets: `.o` warm probes.
-    pub compile: StageQueueStats,
-    /// `Classify` packets: dead-symbol lint warming.
-    pub classify: StageQueueStats,
-}
-
-impl SchedulerStats {
-    /// The stages with their wire names, in pipeline order.
-    pub fn stages(&self) -> [(&'static str, StageQueueStats); 4] {
-        [
-            ("plan", self.plan),
-            ("preprocess", self.preprocess),
-            ("compile", self.compile),
-            ("classify", self.classify),
-        ]
-    }
-
-    /// Packets accepted across all stages.
-    pub fn enqueued_total(&self) -> u64 {
-        self.stages().iter().map(|(_, s)| s.enqueued).sum()
-    }
-
-    /// Packets executed across all stages.
-    pub fn executed_total(&self) -> u64 {
-        self.stages().iter().map(|(_, s)| s.executed).sum()
-    }
-
-    /// Packets shed across all stages.
-    pub fn dropped_total(&self) -> u64 {
-        self.stages().iter().map(|(_, s)| s.dropped).sum()
-    }
-
-    /// Deepest any stage injector ever got.
-    pub fn peak_depth(&self) -> u64 {
-        self.stages()
-            .iter()
-            .map(|(_, s)| s.peak_depth)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-#[derive(Default)]
-struct StageCounters {
-    enqueued: AtomicU64,
-    executed: AtomicU64,
-    dropped: AtomicU64,
-    max_depth: AtomicU64,
-}
-
-impl StageCounters {
-    fn snapshot(&self) -> StageQueueStats {
-        StageQueueStats {
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            executed: self.executed.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            peak_depth: self.max_depth.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One FIFO of packets. Producers push at the back; everyone takes from
-/// the front (oldest first — the order the authoritative checks will
-/// want the entries).
-#[derive(Default)]
-struct PacketQueue {
-    queue: Mutex<VecDeque<Packet>>,
-}
-
-impl PacketQueue {
-    /// Push unless the queue already holds `cap` packets; on success
-    /// returns the new depth, on overflow hands the packet back.
-    fn push_bounded(&self, packet: Packet, cap: usize) -> Result<usize, Packet> {
-        let mut queue = self.queue.lock().expect("packet queue poisoned");
-        if queue.len() >= cap {
-            return Err(packet);
-        }
-        queue.push_back(packet);
-        Ok(queue.len())
-    }
-
-    fn pop_front(&self) -> Option<Packet> {
-        self.queue
-            .lock()
-            .expect("packet queue poisoned")
-            .pop_front()
-    }
-}
-
-/// How many probe packets a planning worker keeps in its own deque
-/// before spilling the rest to the stage injectors for others to take.
-const LOCAL_CAP: usize = 32;
-
-/// Shared scheduler state for the speculative warm packets: one bounded
-/// injector per stage, one locality deque per worker.
-struct Scheduler {
-    injectors: [PacketQueue; StageKind::COUNT],
-    locals: Vec<PacketQueue>,
-    counters: [StageCounters; StageKind::COUNT],
-    /// Patches not yet completed; workers exit when it reaches zero.
-    remaining: AtomicUsize,
-    config_cache: Arc<ConfigCache>,
-    object_cache: Arc<ObjectCache>,
-    preproc: Option<Arc<PreprocCache>>,
-}
-
-impl Scheduler {
-    fn new(
-        workers: usize,
-        patches: usize,
-        config_cache: Arc<ConfigCache>,
-        object_cache: Arc<ObjectCache>,
-        preproc: Option<Arc<PreprocCache>>,
-    ) -> Scheduler {
-        Scheduler {
-            injectors: Default::default(),
-            locals: (0..workers).map(|_| PacketQueue::default()).collect(),
-            counters: Default::default(),
-            remaining: AtomicUsize::new(patches),
-            config_cache,
-            object_cache,
-            preproc,
-        }
-    }
-
-    /// Route a packet to a queue. With `local`, the producer keeps up to
-    /// [`LOCAL_CAP`] packets in its own deque (the caches it just warmed
-    /// are hottest there) and spills the rest to the stage injector;
-    /// without, the packet goes straight to the injector. A full
-    /// injector sheds the packet — it is speculative by construction.
-    fn publish(&self, local: Option<usize>, packet: Packet) {
-        let stage = packet.stage();
-        let counters = &self.counters[stage as usize];
-        let packet = match local {
-            Some(worker) => match self.locals[worker].push_bounded(packet, LOCAL_CAP) {
-                Ok(_) => {
-                    counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(packet) => packet,
-            },
-            None => packet,
-        };
-        match self.injectors[stage as usize].push_bounded(packet, stage.cap()) {
-            Ok(depth) => {
-                counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                counters.max_depth.fetch_max(depth as u64, Ordering::Relaxed);
-            }
-            Err(_) => {
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Take a packet: own locality deque first, then the stage injectors
-    /// in pipeline order, then — injector-first stealing — raid the
-    /// other workers' deques round-robin.
-    fn take_packet(&self, worker: usize) -> Option<Packet> {
-        if let Some(packet) = self.locals[worker].pop_front() {
-            return Some(packet);
-        }
-        if let Some(packet) = self.injectors.iter().find_map(PacketQueue::pop_front) {
-            return Some(packet);
-        }
-        let n = self.locals.len();
-        (1..n).find_map(|i| self.locals[(worker + i) % n].pop_front())
-    }
-
-    /// Execute one warm packet. Purely host-side: no virtual clock, no
-    /// tracer, no cache hit/miss counters — only `peek` and `insert`.
-    fn execute_packet(&self, packet: Packet, jmake: &JMake, worker: usize) {
-        self.counters[packet.stage() as usize]
-            .executed
-            .fetch_add(1, Ordering::Relaxed);
-        match packet {
-            Packet::Plan(ctx) => {
-                if ctx.done.load(Ordering::Acquire) {
-                    return;
-                }
-                let (mutated, probes) = jmake.plan_warm_probes(&ctx.base, &ctx.patch);
-                let mutated = Arc::new(mutated);
-                for probe in probes {
-                    let packet = match probe.op {
-                        ObjKind::I => Packet::Preprocess {
-                            ctx: Arc::clone(&ctx),
-                            tree: Arc::clone(&mutated),
-                            probe,
-                        },
-                        ObjKind::O => Packet::Compile {
-                            ctx: Arc::clone(&ctx),
-                            tree: Arc::clone(&ctx.base),
-                            probe,
-                        },
-                    };
-                    self.publish(Some(worker), packet);
-                }
-            }
-            Packet::Preprocess { ctx, tree, probe } => {
-                self.run_probe(&ctx, &tree, &probe);
-            }
-            Packet::Compile { ctx, tree, probe } => {
-                // A compiled configuration is one the classifier will
-                // consult; queue its dead-symbol lint unless some clone
-                // already paid for it.
-                if let Some(cfg) = self.run_probe(&ctx, &tree, &probe) {
-                    if !cfg.dead_symbols_ready() {
-                        self.publish(None, Packet::Classify { ctx, cfg });
-                    }
-                }
-            }
-            Packet::Classify { ctx, cfg } => {
-                if ctx.done.load(Ordering::Acquire) {
-                    return;
-                }
-                cfg.dead_symbols();
-            }
-        }
-    }
-
-    /// Warm one object-cache entry; returns the configuration it ran
-    /// under when the probe was viable.
-    fn run_probe(
-        &self,
-        ctx: &PatchCtx,
-        tree: &SourceTree,
-        probe: &WarmProbe,
-    ) -> Option<Arc<BuildConfig>> {
-        if ctx.done.load(Ordering::Acquire) {
-            return None;
-        }
-        let key = ConfigKey::new(&probe.arch, &probe.kind);
-        // Only configurations the authoritative run has already solved
-        // are worth probing — and peeking keeps the config-cache
-        // counters untouched.
-        let cfg =
-            self.config_cache
-                .peek(ctx.fingerprint, &key, probe.kind.content_fingerprint())?;
-        warm_object_entry(
-            &self.object_cache,
-            &cfg,
-            tree,
-            &probe.file,
-            probe.op,
-            self.preproc.as_ref(),
-        );
-        Some(cfg)
-    }
-
-    /// Snapshot of the per-stage counters.
-    fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            plan: self.counters[StageKind::Plan as usize].snapshot(),
-            preprocess: self.counters[StageKind::Preprocess as usize].snapshot(),
-            compile: self.counters[StageKind::Compile as usize].snapshot(),
-            classify: self.counters[StageKind::Classify as usize].snapshot(),
-        }
-    }
 }
 
 /// Extract a readable message from a panic payload.
@@ -759,13 +371,11 @@ where
 }
 
 /// Everything a worker shares across the commits it checks: the
-/// cross-patch caches, the scheduler slot it may publish warm work to,
-/// and the span emitter.
+/// cross-patch caches, the span emitter and the fault plan.
 struct CheckCtx<'a> {
     cache: Option<&'a Arc<ConfigCache>>,
     object: Option<&'a Arc<ObjectCache>>,
     preproc: Option<&'a Arc<PreprocCache>>,
-    warm: Option<(&'a Scheduler, usize)>,
     tracer: &'a Tracer,
     faults: &'a Faults,
 }
@@ -882,20 +492,6 @@ fn check_commit(
         Err(e) => return (PatchOutcome::ShowFailed(e.to_string()), Samples::default()),
     };
 
-    // Publish this patch as stealable warm work before the authoritative
-    // check begins; the guard flips `done` when the check ends (or
-    // panics), turning any still-queued unit into a no-op.
-    let _warm_guard = ctx.warm.map(|(sched, _worker)| {
-        let ctx = Arc::new(PatchCtx {
-            base: Arc::new(tree.clone()),
-            patch: patch.clone(),
-            fingerprint: ConfigCache::fingerprint_tree(&tree),
-            done: AtomicBool::new(false),
-        });
-        sched.publish(None, Packet::Plan(Arc::clone(&ctx)));
-        DoneOnDrop(ctx)
-    });
-
     let mut span = tracer.span(Stage::Check);
     let started = Instant::now();
     let author = repo
@@ -947,27 +543,12 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
     let next = AtomicUsize::new(0);
     let workers = opts.workers.max(1).min(commits.len().max(1));
 
-    // Work stealing only pays off when idle workers exist and both shared
-    // caches are on (probes feed the object cache and peek solved
-    // configurations out of the config cache).
-    let scheduler = match (&cache, &object) {
-        (Some(cache), Some(object)) if opts.work_stealing && workers > 1 => Some(Scheduler::new(
-            workers,
-            commits.len(),
-            Arc::clone(cache),
-            Arc::clone(object),
-            preproc.clone(),
-        )),
-        _ => None,
-    };
-
     let outputs: Vec<WorkerOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let cache = cache.as_ref();
                 let object = object.as_ref();
                 let preproc = preproc.as_ref();
-                let scheduler = scheduler.as_ref();
                 let next = &next;
                 scope.spawn(move || {
                     let jmake = JMake::with_options(opts.jmake.clone());
@@ -976,41 +557,18 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
                         cache,
                         object,
                         preproc,
-                        warm: scheduler.map(|s| (s, w)),
                         tracer: &opts.tracer,
                         faults: &opts.faults,
                     };
                     loop {
-                        // Authoritative patches always beat speculative
-                        // warm units.
                         let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx < commits.len() {
-                            let commit = commits[idx];
-                            let (outcome, samples) = guard_patch(AssertUnwindSafe(|| {
-                                check_commit(repo, commit, &jmake, &ctx, &mut out)
-                            }));
-                            out.items.push((idx, PatchResult { commit, outcome }, samples));
-                            if let Some(sched) = scheduler {
-                                sched.remaining.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            continue;
-                        }
-                        // No patch left to start: help warm caches for the
-                        // patches still running, then exit.
-                        let Some(sched) = scheduler else { break };
-                        if sched.remaining.load(Ordering::Acquire) == 0 {
+                        let Some(&commit) = commits.get(idx) else {
                             break;
-                        }
-                        match sched.take_packet(w) {
-                            Some(packet) => {
-                                // A speculative packet must never kill a
-                                // worker; its panic is simply dropped.
-                                let _ = catch_unwind(AssertUnwindSafe(|| {
-                                    sched.execute_packet(packet, &jmake, w)
-                                }));
-                            }
-                            None => std::thread::yield_now(),
-                        }
+                        };
+                        let (outcome, samples) = guard_patch(AssertUnwindSafe(|| {
+                            check_commit(repo, commit, &jmake, &ctx, &mut out)
+                        }));
+                        out.items.push((idx, PatchResult { commit, outcome }, samples));
                     }
                     out
                 })
@@ -1071,17 +629,6 @@ pub fn run_evaluation(repo: &Repo, commits: &[CommitId], opts: &DriverOptions) -
     }
     if let Some(preproc) = &preproc {
         stats.preproc = preproc.stats();
-    }
-    if let Some(sched) = &scheduler {
-        stats.scheduler = sched.stats();
-        // Queue pressure lands in the trace too, so `--metrics` and
-        // offline trace tooling see it without a stats side channel.
-        for (name, stage) in stats.scheduler.stages() {
-            opts.tracer.counter(&format!("sched_{name}_enqueued"), stage.enqueued);
-            opts.tracer.counter(&format!("sched_{name}_executed"), stage.executed);
-            opts.tracer.counter(&format!("sched_{name}_dropped"), stage.dropped);
-            opts.tracer.counter(&format!("sched_{name}_peak_depth"), stage.peak_depth);
-        }
     }
     stats.faults = opts.faults.stats_snapshot();
     stats.total_wall_us = run_started.elapsed().as_micros() as u64;

@@ -63,7 +63,7 @@ pub mod stats;
 pub mod token;
 
 pub use archsel::{ArchSelector, Target};
-pub use check::{JMake, Options, WarmProbe};
+pub use check::{JMake, Options};
 pub use classify::UncoveredReason;
 pub use covsel::{
     branch_wants, generate_cover_targets, select_portfolio, Portfolio, PortfolioMember, Want,

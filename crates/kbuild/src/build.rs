@@ -9,7 +9,7 @@ use crate::objgraph::ObjGraph;
 use crate::ppcache::{PreprocCache, TreeMemo};
 use crate::tree::SourceTree;
 use jmake_cpp::{
-    validate, CppError, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor,
+    validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor,
     SyntaxError,
 };
 use jmake_faults::{FaultKind, FaultSite, Faults};
@@ -164,14 +164,6 @@ impl BuildConfig {
     /// once per patch.
     pub fn dead_symbols(&self) -> &DeadSymbols {
         self.dead.get_or_init(|| DeadSymbols::compute(&self.model))
-    }
-
-    /// True when the dead-symbol lint is already computed for this
-    /// configuration (the cell is shared across clones). The warm
-    /// scheduler uses this to skip classify packets that would be
-    /// no-ops.
-    pub fn dead_symbols_ready(&self) -> bool {
-        self.dead.get().is_some()
     }
 
     /// Fingerprint of the preprocessor macro environment this
@@ -856,24 +848,28 @@ impl BuildEngine {
                         let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
                         invocation_us +=
                             self.cost.i_base_us + pp.text.len() as u64 * self.cost.i_per_byte_us;
-                        if let (Some(cache), Some(k)) = (&self.object, key) {
-                            let entry = i_entry_from_pp(file, pp);
-                            let result = i_result_from_entry(&entry, file);
-                            cache.insert(k, Arc::new(entry));
-                            result
-                        } else if let Some(first) = pp.errors.first() {
-                            Err(BuildError::PreprocessFailed {
-                                file: file.clone(),
-                                first_error: first.to_string(),
-                            })
-                        } else {
-                            Ok(IFile {
+                        let text_len = pp.text.len() as u64;
+                        let result = match pp.errors.first() {
+                            Some(first) => Err(first.to_string()),
+                            None => Ok(IFile {
                                 path: file.clone(),
                                 text: pp.text,
                                 expanded_macros: pp.expanded_macros,
                                 includes: pp.includes,
-                            })
+                            }),
+                        };
+                        // Failures are cached too (negative caching).
+                        if let (Some(cache), Some(k)) = (&self.object, key) {
+                            let entry = CachedObj::I {
+                                text_len,
+                                result: result.clone(),
+                            };
+                            cache.insert(k, Arc::new(entry));
                         }
+                        result.map_err(|first_error| BuildError::PreprocessFailed {
+                            file: file.clone(),
+                            first_error,
+                        })
                     }
                 }
             };
@@ -979,25 +975,25 @@ impl BuildEngine {
             // byte-proportional cost, scaled for synthetic file sizes.
             *invocation_us += self.heavy_rebuild_us(tree);
         }
-        if let (Some(cache), Some(k)) = (&self.object, key) {
-            let entry = o_entry_from_pp(file, &pp);
-            let CachedObj::O { result, .. } = &entry else {
-                unreachable!("o_entry_from_pp builds O entries")
-            };
-            let out = result.clone();
-            cache.insert(k, Arc::new(entry));
-            return out;
-        }
-        if let Some(first) = pp.errors.first() {
-            return Err(BuildError::PreprocessFailed {
+        let result = match pp.errors.first() {
+            Some(first) => Err(BuildError::PreprocessFailed {
                 file: file.to_string(),
                 first_error: first.to_string(),
-            });
+            }),
+            None => validate(&pp.text).map_err(|error| BuildError::FrontEndRejected {
+                file: file.to_string(),
+                error,
+            }),
+        };
+        // The front-end verdict is cached, failures included.
+        if let (Some(cache), Some(k)) = (&self.object, key) {
+            let entry = CachedObj::O {
+                text_len: pp.text.len() as u64,
+                result: result.clone(),
+            };
+            cache.insert(k, Arc::new(entry));
         }
-        validate(&pp.text).map_err(|error| BuildError::FrontEndRejected {
-            file: file.to_string(),
-            error,
-        })
+        result
     }
 
     /// The whole-kernel rebuild charge a heavy file triggers (paper §V.C).
@@ -1059,7 +1055,7 @@ pub fn bootstrap_files_of(tree: &SourceTree) -> BTreeSet<String> {
 /// `tree` — one per make invocation, shared by every file in the group
 /// (the tree clone inside is Arc-shared blob pointers; it pins the
 /// epoch the closure-fingerprint memo keys on).
-pub(crate) fn tree_memo(
+fn tree_memo(
     tree: &SourceTree,
     cfg: &BuildConfig,
     preproc: Option<&Arc<PreprocCache>>,
@@ -1068,10 +1064,8 @@ pub(crate) fn tree_memo(
 }
 
 /// Run the preprocessor on `file` with the configuration's macro
-/// environment and kernel include paths. Free-standing (no `&self`) so
-/// the engine's live path and the driver's speculative cache-warming
-/// path run the byte-identical computation.
-pub(crate) fn preprocess_file(
+/// environment and kernel include paths.
+fn preprocess_file(
     tree: &SourceTree,
     cfg: &BuildConfig,
     module: bool,
@@ -1120,110 +1114,6 @@ fn object_key_for(
         arch: cfg.arch.name,
         kind,
     })
-}
-
-/// Fold one preprocess run into the cache entry `make_i` stores —
-/// success keeps the full `.i` artifact, failure keeps the first
-/// diagnostic (negative caching).
-fn i_entry_from_pp(file: &str, pp: PreprocessOutput) -> CachedObj {
-    let text_len = pp.text.len() as u64;
-    let result = match pp.errors.first() {
-        Some(first) => Err(first.to_string()),
-        None => Ok(IFile {
-            path: file.to_string(),
-            text: pp.text,
-            expanded_macros: pp.expanded_macros,
-            includes: pp.includes,
-        }),
-    };
-    CachedObj::I { text_len, result }
-}
-
-fn i_result_from_entry(entry: &CachedObj, file: &str) -> Result<IFile, BuildError> {
-    let CachedObj::I { result, .. } = entry else {
-        unreachable!("i_entry_from_pp builds I entries")
-    };
-    match result {
-        Ok(ifile) => Ok(ifile.clone()),
-        Err(first_error) => Err(BuildError::PreprocessFailed {
-            file: file.to_string(),
-            first_error: first_error.clone(),
-        }),
-    }
-}
-
-/// Fold one preprocess run into the cache entry `make_o` stores: the
-/// preprocess diagnostics and the front-end verdict, success or not.
-fn o_entry_from_pp(file: &str, pp: &PreprocessOutput) -> CachedObj {
-    let text_len = pp.text.len() as u64;
-    let result = if let Some(first) = pp.errors.first() {
-        Err(BuildError::PreprocessFailed {
-            file: file.to_string(),
-            first_error: first.to_string(),
-        })
-    } else {
-        validate(&pp.text).map_err(|error| BuildError::FrontEndRejected {
-            file: file.to_string(),
-            error,
-        })
-    };
-    CachedObj::O { text_len, result }
-}
-
-/// Host-side cache warming for the work-stealing driver: compute and
-/// insert the [`ObjectCache`] entry `make_i`/`make_o` would create for
-/// `(cfg, tree, file, kind)`, touching no virtual clock, no tracer, and
-/// no cache hit/miss counter. A no-op when the engine would not reach
-/// the cache for this unit (bootstrap mutation in the tree, missing
-/// file, no Makefile / not enabled for `.o`, unfingerprintable include
-/// closure) or when the entry already exists.
-pub fn warm_object_entry(
-    cache: &ObjectCache,
-    cfg: &BuildConfig,
-    tree: &SourceTree,
-    file: &str,
-    kind: ObjKind,
-    preproc: Option<&Arc<PreprocCache>>,
-) {
-    if !tree.contains(file) {
-        return;
-    }
-    // The engine fails the whole invocation before caching anything when
-    // a bootstrap file carries a mutation glyph.
-    let mutated_bootstrap = bootstrap_files_of(tree)
-        .iter()
-        .any(|p| tree.get(p).is_some_and(|c| c.contains('\u{2261}')));
-    if mutated_bootstrap {
-        return;
-    }
-    let graph = ObjGraph::new(tree);
-    let gating = graph.gating_value(file, &cfg.config);
-    if kind == ObjKind::O && (!graph.has_makefile(file) || !gating.enabled()) {
-        return;
-    }
-    let module = gating == Tristate::M;
-    let Some(key) = object_key_for(tree, cfg, file, module, kind) else {
-        return;
-    };
-    if cache.peek(&key).is_some() {
-        return;
-    }
-    let memo = tree_memo(tree, cfg, preproc);
-    let pp = preprocess_file(tree, cfg, module, file, memo.as_ref());
-    let entry = match kind {
-        ObjKind::I => i_entry_from_pp(file, pp),
-        ObjKind::O => o_entry_from_pp(file, &pp),
-    };
-    cache.insert(key, Arc::new(entry));
-}
-
-/// Helpers for CppError conversion in messages.
-#[allow(dead_code)]
-fn first_error_text(errors: &[CppError]) -> String {
-    errors
-        .first()
-        .map(|e| e.to_string())
-        .unwrap_or_else(|| "unknown error".to_string())
 }
 
 #[cfg(test)]

@@ -99,7 +99,13 @@ impl ConfigCache {
         key: &ConfigKey,
         content_fp: u64,
     ) -> (Option<Arc<BuildConfig>>, CacheOutcome) {
-        let found = self.read_entry(fingerprint, key, content_fp);
+        let key = (fingerprint, key.clone(), content_fp);
+        let found = self
+            .shard(&key)
+            .read()
+            .expect("config cache shard poisoned")
+            .get(&key)
+            .cloned();
         let outcome = match &found {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -111,33 +117,6 @@ impl ConfigCache {
             }
         };
         (found, outcome)
-    }
-
-    /// Look up without touching the hit/miss counters. The speculative
-    /// cache-warming path uses this: its lookups are not part of the
-    /// authoritative run, so they must not perturb [`CacheStats`] (which
-    /// tracing reconciles per span, µs- and count-exact).
-    pub fn peek(
-        &self,
-        fingerprint: u64,
-        key: &ConfigKey,
-        content_fp: u64,
-    ) -> Option<Arc<BuildConfig>> {
-        self.read_entry(fingerprint, key, content_fp)
-    }
-
-    fn read_entry(
-        &self,
-        fingerprint: u64,
-        key: &ConfigKey,
-        content_fp: u64,
-    ) -> Option<Arc<BuildConfig>> {
-        let key = (fingerprint, key.clone(), content_fp);
-        self.shard(&key)
-            .read()
-            .expect("config cache shard poisoned")
-            .get(&key)
-            .cloned()
     }
 
     /// Store a solved configuration. The first writer wins a race; later
@@ -285,21 +264,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn peek_finds_entries_without_counting() {
-        let cache = ConfigCache::new();
-        let key = ConfigKey::new("x86_64", &ConfigKind::AllYes);
-        assert!(cache.peek(1, &key, 0).is_none());
-
-        let mut engine = BuildEngine::new(tiny_tree());
-        let cfg = engine.make_config("x86_64", &ConfigKind::AllYes).unwrap();
-        cache.insert(1, &key, 0, cfg);
-        assert!(cache.peek(1, &key, 0).is_some());
-
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 
     #[test]

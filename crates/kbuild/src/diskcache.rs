@@ -1621,8 +1621,8 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(loaded.entries_quarantined, 0);
-        assert!(objects2.peek(&key).is_some());
-        assert!(configs2.peek(5, cfg.key(), 0).is_some());
+        assert!(objects2.lookup(&key).0.is_some());
+        assert!(configs2.get(5, cfg.key(), 0).is_some());
         assert!(preproc2.lookup(&pkey).is_some());
 
         // Load-then-store on an unchanged tier creates no new segment.
@@ -1665,7 +1665,7 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.peek(&key).is_none());
+        assert!(objects2.lookup(&key).0.is_none());
         assert!(!segment.exists(), "corrupt record must leave the live tier");
         assert!(dir.join("quarantine").read_dir().unwrap().next().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1695,7 +1695,7 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.peek(&key).is_none());
+        assert!(objects2.lookup(&key).0.is_none());
         assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1717,7 +1717,7 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.peek(&key).is_none());
+        assert!(objects2.lookup(&key).0.is_none());
         assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
         let snap = faults.stats_snapshot();
         assert_eq!(snap.corruptions_detected, 1);
@@ -1808,7 +1808,7 @@ mod tests {
                 .unwrap();
             assert_eq!(loaded.entries_quarantined, 0, "round {round}");
             for (key, _) in sample_objects(200) {
-                assert!(loaded_objects.peek(&key).is_some(), "{key:?} missing from the union");
+                assert!(loaded_objects.lookup(&key).0.is_some(), "{key:?} missing from the union");
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }

@@ -45,7 +45,7 @@ pub mod tree;
 
 pub use arch::{Arch, ArchRegistry};
 pub use build::{
-    bootstrap_files_of, warm_object_entry, BuildConfig, BuildEngine, BuildError, ConfigKey,
+    bootstrap_files_of, BuildConfig, BuildEngine, BuildError, ConfigKey,
     ConfigKind, IFile, IResults,
 };
 pub use cache::{CacheStats, ConfigCache};

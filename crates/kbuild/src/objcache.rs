@@ -199,8 +199,8 @@ impl ObjectCache {
     /// injection. The stored digest of the served entry is recomputed and
     /// compared; under an injected [`FaultKind::Corrupt`] the served
     /// digest is perturbed, the mismatch is detected, and the entry's
-    /// whole shard is flushed and **quarantined**: subsequent lookups and
-    /// peeks miss, inserts are dropped. The caller then recomputes live —
+    /// whole shard is flushed and **quarantined**: subsequent lookups
+    /// miss, inserts are dropped. The caller then recomputes live —
     /// and because a hit charges the virtual clock exactly what a miss
     /// does, recovery is charge-identical and reports stay bit-identical
     /// even under corrupt-only fault profiles.
@@ -270,21 +270,6 @@ impl ObjectCache {
             outcome: CacheOutcome::Hit,
             quarantined_now: false,
         }
-    }
-
-    /// Look without touching any counter — the speculative warm path uses
-    /// this so cache statistics describe only the authoritative run. A
-    /// quarantined shard answers `None`.
-    pub fn peek(&self, key: &ObjectKey) -> Option<Arc<CachedObj>> {
-        let idx = self.shard_index(key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            return None;
-        }
-        self.shards[idx]
-            .read()
-            .expect("object cache shard poisoned")
-            .get(key)
-            .map(|stored| Arc::clone(&stored.obj))
     }
 
     /// Store an outcome. The first writer wins a race; later identical
@@ -583,25 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_touch_counters() {
-        let cache = ObjectCache::new();
-        let k = key("int x;\n", 1);
-        assert!(cache.peek(&k).is_none());
-        cache.insert(
-            k.clone(),
-            Arc::new(CachedObj::O {
-                text_len: 3,
-                result: Ok(()),
-            }),
-        );
-        assert!(cache.peek(&k).is_some());
-        assert_eq!(cache.stats(), ObjectCacheStats {
-            entries: 1,
-            ..ObjectCacheStats::default()
-        });
-    }
-
-    #[test]
     fn corrupt_lookup_flushes_and_quarantines_the_shard() {
         use jmake_faults::FaultSpec;
         let cache = ObjectCache::new();
@@ -619,11 +585,10 @@ mod tests {
         assert_eq!(v.outcome, CacheOutcome::Miss);
         assert!(v.quarantined_now);
         // The shard is out of service: lookups miss without consulting the
-        // fault plan again, peeks see nothing, and inserts are dropped.
+        // fault plan again, and inserts are dropped.
         assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
-        assert!(cache.peek(&k).is_none());
         cache.insert(k.clone(), entry());
-        assert!(cache.peek(&k).is_none());
+        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
         assert!(!cache.lookup_verified(&k, &faults).quarantined_now);
         let stats = cache.stats();
         assert_eq!(stats.corruptions_detected, 1);

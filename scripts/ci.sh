@@ -31,13 +31,13 @@ trap 'rm -rf "$SCRATCH"' EXIT
 echo "==> object-cache identity run (cached vs uncached reports)"
 CACHED_OUT="$SCRATCH/eval-cached.out"
 UNCACHED_OUT="$SCRATCH/eval-uncached.out"
-# Same window with every host-side acceleration on (object cache +
-# preprocess memo + work stealing, the defaults) and with all of them
+# Same window with every host-side acceleration on (config cache,
+# object cache and preprocess memo, the defaults) and with all of them
 # off: every table, figure, and summary line must be byte-identical —
 # the caches may only change wall-clock time.
 ./target/release/jmake-eval --commits 120 --workers 8 all > "$CACHED_OUT"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache all > "$UNCACHED_OUT"
 diff -u "$UNCACHED_OUT" "$CACHED_OUT"
 
@@ -50,7 +50,7 @@ CC_B="$SCRATCH/crosscheck-b.json"
 # cache modes — it contains no wall-clock and no nondeterminism.
 ./target/release/jmake-eval --commits 120 --workers 8 --cross-check > "$CC_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache --cross-check > "$CC_B"
+  --no-object-cache --no-shared-cache --cross-check > "$CC_B"
 diff -u "$CC_A" "$CC_B"
 grep -q '"clean": true' "$CC_A"
 
@@ -63,7 +63,7 @@ FIX_B="$SCRATCH/fix-b.json"
 # report must be byte-identical across worker counts and cache modes.
 ./target/release/jmake-eval --commits 120 --workers 8 --fix > "$FIX_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache --fix > "$FIX_B"
 diff -u "$FIX_A" "$FIX_B"
 grep -q '"clean": true' "$FIX_A"
@@ -108,11 +108,9 @@ if grep -Eq "object cache +0\.0% hit rate" "$WARM_ERR"; then
   cat "$WARM_ERR" >&2
   exit 1
 fi
-# A warm run needs nothing the tier lacks, so it must add no segment. The
-# speculative work-stealing probes may compute a few entries no check
-# uses, which a cold run left out, so this warm run turns them off.
+# A warm run needs nothing the tier lacks, so it must add no segment.
 ls "$CACHE_DIR/segments" > "$SCRATCH/segments-before.ls"
-./target/release/jmake-eval --commits 120 --workers 8 --no-work-stealing \
+./target/release/jmake-eval --commits 120 --workers 8 \
   --cache-dir "$CACHE_DIR" all > "$WARM_OUT" 2> "$WARM_ERR"
 diff -u "$COLD_OUT" "$WARM_OUT"
 diff -u "$SCRATCH/segments-before.ls" <(ls "$CACHE_DIR/segments")
@@ -156,7 +154,7 @@ PF_B="$SCRATCH/portfolio-b.json"
 ./target/release/jmake-eval --commits 120 --workers 8 \
   --portfolio 4 --rand-seed 1 > "$PF_A"
 ./target/release/jmake-eval --commits 120 --workers 1 \
-  --no-object-cache --no-work-stealing --no-shared-cache \
+  --no-object-cache --no-shared-cache \
   --no-preproc-cache --portfolio 4 --rand-seed 1 > "$PF_B"
 diff -u "$PF_A" "$PF_B"
 extract_pf() { sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p" "$1" | head -n 1; }
@@ -186,7 +184,7 @@ BENCH_OUT="$SCRATCH/bench.json"
   --bench-json "$BENCH_OUT" summary > /dev/null
 # The artifact must carry the documented schema and the portfolio
 # summary block (with "ran": false on a portfolio-less sweep).
-grep -q '"schema": 4' "$BENCH_OUT"
+grep -q '"schema": 5' "$BENCH_OUT"
 grep -q '"portfolio": { "ran": false' "$BENCH_OUT"
 extract_pps() { sed -n 's/.*"patches_per_sec": \([0-9.]*\).*/\1/p' "$1"; }
 BASELINE_PPS="$(extract_pps BENCH_5.json)"

@@ -150,22 +150,11 @@ fn jsonl_sink_round_trips_every_span() {
     let lines = tracer.jsonl_lines();
     let balance = tracer.balance();
     let text = lines.join("\n");
-    let parsed = jsonl::parse_all(&text).expect("every emitted line parses");
-    assert_eq!(parsed.len(), lines.len());
-    // Counter lines (scheduler queue pressure) ride along; every other
-    // line is a span, and spans reconcile with the open/close balance.
-    let mut records = Vec::new();
-    let mut counters = Vec::new();
-    for line in parsed {
-        match line {
-            jsonl::TraceLine::Span(r) => records.push(r),
-            jsonl::TraceLine::Counter { name, value } => counters.push((name, value)),
-        }
-    }
+    // Every emitted line is a span, and spans reconcile with the
+    // open/close balance.
+    let records = jsonl::parse(&text).expect("every emitted line is a span");
+    assert_eq!(records.len(), lines.len());
     assert_eq!(records.len() as u64, balance.closed);
-    for (name, _) in &counters {
-        assert!(name.starts_with("sched_"), "unexpected counter {name}");
-    }
     let commits: std::collections::BTreeSet<String> = run
         .results
         .iter()
