@@ -458,11 +458,6 @@ impl BuildEngine {
         engine
     }
 
-    /// The shared configuration cache, when one is attached.
-    pub fn shared_cache(&self) -> Option<&Arc<ConfigCache>> {
-        self.shared.as_ref().map(|(cache, _)| cache)
-    }
-
     /// Attach a cross-patch [`ObjectCache`]. `make_i`/`make_o` will then
     /// memoize preprocess and front-end outcomes (including failures) by
     /// content-addressed key; hits skip host work but charge the virtual
@@ -471,22 +466,12 @@ impl BuildEngine {
         self.object = Some(cache);
     }
 
-    /// The attached object cache, if any.
-    pub fn object_cache(&self) -> Option<&Arc<ObjectCache>> {
-        self.object.as_ref()
-    }
-
     /// Attach a cross-patch [`PreprocCache`]. Preprocessor runs will then
     /// record and replay header-inclusion effects; replay is
     /// byte-identical to live expansion and the virtual clock is charged
     /// per make invocation above this layer, so only host time changes.
     pub fn set_preproc_cache(&mut self, cache: Arc<PreprocCache>) {
         self.preproc = Some(cache);
-    }
-
-    /// The attached preprocess cache, if any.
-    pub fn preproc_cache(&self) -> Option<&Arc<PreprocCache>> {
-        self.preproc.as_ref()
     }
 
     /// Attach a tracer; build-side stages will emit spans through it.

@@ -7,7 +7,8 @@
 //! [`ConfigCache`] lets every [`BuildEngine`](crate::BuildEngine) in a
 //! run share solved configurations — keyed by a fingerprint of the
 //! tree's Kconfig/defconfig content, the architecture, and the
-//! configuration kind — behind a sharded `RwLock` map.
+//! configuration kind — in the sharded store every host-side cache
+//! shares.
 //!
 //! Sharing is a **host-side** optimization only: on a cache hit the
 //! engine still charges the virtual clock the full configuration-creation
@@ -17,20 +18,22 @@
 
 use crate::build::{BuildConfig, ConfigKey};
 use crate::hash::Fnv;
+use crate::store::{hit_rate, ShardKey, ShardedStore};
 use crate::tree::SourceTree;
 use jmake_trace::CacheOutcome;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// Number of independent lock shards; keys spread by fingerprint+kind
-/// hash so concurrent workers on different architectures rarely contend.
-const SHARDS: usize = 16;
-
-/// Key of one cached configuration: (tree fingerprint, interned
-/// `(arch, kind)` identity, custom-content fingerprint — zero for
-/// non-custom kinds).
+/// Key of one cached configuration: (tree fingerprint, `(arch, kind)`
+/// identity, custom-content fingerprint — zero for non-custom kinds).
 type Key = (u64, ConfigKey, u64);
+
+impl ShardKey for Key {
+    fn shard_bits(&self) -> u64 {
+        // The fingerprint is already a strong 64-bit hash; fold in the
+        // kind key's length so AllYes/AllMod on one tree can land apart.
+        self.0 ^ self.1.kind_key().len() as u64
+    }
+}
 
 /// Aggregate cache counters, cheap to copy into driver statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,12 +49,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Fraction of lookups served from the cache, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -59,9 +57,7 @@ impl CacheStats {
 /// shared across the build engines of an evaluation run.
 #[derive(Debug, Default)]
 pub struct ConfigCache {
-    shards: [RwLock<HashMap<Key, Arc<BuildConfig>>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+    store: ShardedStore<Key, Arc<BuildConfig>>,
 }
 
 impl ConfigCache {
@@ -70,53 +66,16 @@ impl ConfigCache {
         ConfigCache::default()
     }
 
-    fn shard(&self, key: &Key) -> &RwLock<HashMap<Key, Arc<BuildConfig>>> {
-        // The fingerprint is already a strong 64-bit hash; fold in the
-        // kind key's length so AllYes/AllMod on one tree can land apart.
-        let idx = (key.0 ^ key.1.kind_key().len() as u64) as usize % SHARDS;
-        &self.shards[idx]
-    }
-
-    /// Look up a solved configuration; counts a hit or a miss. Under a
-    /// concurrent miss-then-solve race both solvers count a miss — the
-    /// counters describe lookups, not distinct solving work.
-    pub fn get(
-        &self,
-        fingerprint: u64,
-        key: &ConfigKey,
-        content_fp: u64,
-    ) -> Option<Arc<BuildConfig>> {
-        self.lookup(fingerprint, key, content_fp).0
-    }
-
-    /// [`ConfigCache::get`] plus the [`CacheOutcome`] for tracing. The
-    /// outcome is derived from the same lookup that bumps the counters, so
-    /// per-span outcomes always sum to exactly [`CacheStats`]'s hits and
-    /// misses.
+    /// Look up a solved configuration, counting a hit or a miss; the
+    /// [`CacheOutcome`] comes from the same lookup, so per-span outcomes
+    /// always sum to exactly [`CacheStats`]'s hits and misses.
     pub fn lookup(
         &self,
         fingerprint: u64,
         key: &ConfigKey,
         content_fp: u64,
     ) -> (Option<Arc<BuildConfig>>, CacheOutcome) {
-        let key = (fingerprint, key.clone(), content_fp);
-        let found = self
-            .shard(&key)
-            .read()
-            .expect("config cache shard poisoned")
-            .get(&key)
-            .cloned();
-        let outcome = match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CacheOutcome::Hit
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                CacheOutcome::Miss
-            }
-        };
-        (found, outcome)
+        self.store.lookup(&(fingerprint, key.clone(), content_fp))
     }
 
     /// Store a solved configuration. The first writer wins a race; later
@@ -128,51 +87,23 @@ impl ConfigCache {
         content_fp: u64,
         cfg: Arc<BuildConfig>,
     ) {
-        let key = (fingerprint, key.clone(), content_fp);
-        self.shard(&key)
-            .write()
-            .expect("config cache shard poisoned")
-            .entry(key)
-            .or_insert(cfg);
+        self.store
+            .insert((fingerprint, key.clone(), content_fp), cfg);
     }
 
-    /// Number of distinct configurations held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("config cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every entry currently held — `(tree fingerprint, key,
-    /// content fingerprint, configuration)` — in unspecified order. The
-    /// disk tier uses this to persist the cache at the end of a run.
-    pub fn snapshot(&self) -> Vec<(u64, ConfigKey, u64, Arc<BuildConfig>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().expect("config cache shard poisoned");
-            out.extend(
-                shard
-                    .iter()
-                    .map(|((fp, key, content_fp), cfg)| {
-                        (*fp, key.clone(), *content_fp, Arc::clone(cfg))
-                    }),
-            );
-        }
-        out
+    /// Every entry currently held — `((tree fingerprint, key, content
+    /// fingerprint), configuration)` — in unspecified order. The disk
+    /// tier uses this to persist the cache at the end of a run.
+    pub fn snapshot(&self) -> Vec<((u64, ConfigKey, u64), Arc<BuildConfig>)> {
+        self.store.snapshot()
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
+            hits: self.store.hits(),
+            misses: self.store.misses(),
+            entries: self.store.len() as u64,
         }
     }
 
@@ -248,25 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn get_insert_and_counters() {
-        let cache = ConfigCache::new();
-        let key = ConfigKey::new("x86_64", &ConfigKind::AllYes);
-        assert!(cache.is_empty());
-        assert!(cache.get(1, &key, 0).is_none());
-
-        let mut engine = BuildEngine::new(tiny_tree());
-        let cfg = engine.make_config("x86_64", &ConfigKind::AllYes).unwrap();
-        cache.insert(1, &key, 0, cfg);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(1, &key, 0).is_some());
-        assert!(cache.get(2, &key, 0).is_none());
-
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn shared_engines_hit_the_cache_but_charge_the_clock() {
         let cache = Arc::new(ConfigCache::new());
 
@@ -298,7 +210,7 @@ mod tests {
         let mut b = BuildEngine::with_shared_cache(changed, Arc::clone(&cache));
         let cfg = b.make_config("x86_64", &ConfigKind::AllYes).unwrap();
         assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().entries, 2);
         // Solved against its own tree: NET, EXTRA, and X86_64 are all in
         // the model, where the first tree declares only two symbols.
         assert!(cfg.model.len() >= 3);

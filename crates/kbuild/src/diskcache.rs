@@ -355,7 +355,7 @@ impl DiskCache {
             .iter()
             .enumerate()
             .map(|(i, (key, _))| (Kind::Object, object_key_digest(key), i))
-            .chain(configs.iter().enumerate().map(|(i, (fp, key, content_fp, _))| {
+            .chain(configs.iter().enumerate().map(|(i, ((fp, key, content_fp), _))| {
                 let digest = config_key_digest(*fp, key.arch(), key.kind_key(), *content_fp);
                 (Kind::Config, digest, i)
             }))
@@ -385,7 +385,10 @@ impl DiskCache {
             for &(kind, key, i) in &todo {
                 let payload = match kind {
                     Kind::Object => encode_object_entry(&objects[i].0, &objects[i].1),
-                    Kind::Config => encode_config_entry(configs[i].0, configs[i].2, &configs[i].3),
+                    Kind::Config => {
+                        let ((fp, _, content_fp), cfg) = &configs[i];
+                        encode_config_entry(*fp, *content_fp, cfg)
+                    }
                     Kind::Preproc => encode_preproc_entry(&preproc[i].0, &preproc[i].1),
                 };
                 let header = Header {
@@ -687,7 +690,8 @@ impl<'a> Dec<'a> {
             .parse()
             .map_err(|_| "bad string length".to_string())?;
         let rest = &self.bytes[self.pos..];
-        if rest.len() < len + 1 {
+        // The length comes from disk: `len + 1` must not overflow.
+        if len.checked_add(1).is_none_or(|end| rest.len() < end) {
             return Err("truncated string".to_string());
         }
         let s = std::str::from_utf8(&rest[..len]).map_err(|_| "non-utf8 string")?;
@@ -1414,6 +1418,8 @@ mod tests {
     use crate::build::{BuildEngine, ConfigKind};
     use crate::tree::SourceTree;
     use jmake_faults::FaultSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn tiny_tree() -> SourceTree {
         let mut t = SourceTree::new();
@@ -1621,8 +1627,8 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(loaded.entries_quarantined, 0);
-        assert!(objects2.lookup(&key).0.is_some());
-        assert!(configs2.get(5, cfg.key(), 0).is_some());
+        assert!(serves(&objects2, &key));
+        assert!(configs2.lookup(5, cfg.key(), 0).0.is_some());
         assert!(preproc2.lookup(&pkey).is_some());
 
         // Load-then-store on an unchanged tier creates no new segment.
@@ -1665,7 +1671,7 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.lookup(&key).0.is_none());
+        assert!(!serves(&objects2, &key));
         assert!(!segment.exists(), "corrupt record must leave the live tier");
         assert!(dir.join("quarantine").read_dir().unwrap().next().is_some());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1695,8 +1701,32 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.lookup(&key).0.is_none());
+        assert!(!serves(&objects2, &key));
         assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overflowing_string_length_is_quarantined_not_a_panic() {
+        let (key, obj) = sample_object();
+        let payload = String::from_utf8(encode_object_entry(&key, &obj)).unwrap();
+        // `drivers/net/a.c` is the first length-prefixed field.
+        let bad = payload.replacen("\n15\n", "\n18446744073709551615\n", 1);
+        assert_ne!(bad, payload);
+
+        let dir = tempdir("len-overflow");
+        let disk = DiskCache::open(&dir).unwrap();
+        let record = (Kind::Object, object_key_digest(&key), bad.into_bytes());
+        std::fs::write(
+            dir.join("segments").join("0000000000000000.seg"),
+            segment_bytes(&[record]),
+        )
+        .unwrap();
+        let objects = ObjectCache::new();
+        let (configs, preproc) = (ConfigCache::new(), PreprocCache::new());
+        let loaded = disk.load(&objects, &configs, &preproc, &Faults::disabled());
+        assert_eq!(loaded.unwrap().entries_quarantined, 1);
+        assert_eq!(objects.stats().entries, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1717,7 +1747,7 @@ mod tests {
             .unwrap();
         assert_eq!(loaded.objects_loaded, 0);
         assert_eq!(loaded.entries_quarantined, 1);
-        assert!(objects2.lookup(&key).0.is_none());
+        assert!(!serves(&objects2, &key));
         assert!(segments(&dir).is_empty(), "corrupt record must leave the live tier");
         let snap = faults.stats_snapshot();
         assert_eq!(snap.corruptions_detected, 1);
@@ -1808,7 +1838,10 @@ mod tests {
                 .unwrap();
             assert_eq!(loaded.entries_quarantined, 0, "round {round}");
             for (key, _) in sample_objects(200) {
-                assert!(loaded_objects.lookup(&key).0.is_some(), "{key:?} missing from the union");
+                assert!(
+                    serves(&loaded_objects, &key),
+                    "{key:?} missing from the union"
+                );
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -1837,11 +1870,13 @@ mod tests {
     /// segment mutated by byte flips, truncation, insertion, and
     /// length-field edits must load without panicking or hanging, serve
     /// only values equal to the original for their key, and account for
-    /// every record it could frame as either loaded or quarantined.
+    /// every record it could frame as either loaded or quarantined. A
+    /// fifth class mutates one record's payload and re-frames it with a
+    /// matching length and digest, so the typed decoders see the damage;
+    /// such a payload may decode to a different valid value, so that class
+    /// skips the value check.
     #[test]
     fn mutated_segments_never_panic_hang_or_serve_a_wrong_value() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         use std::time::{Duration, Instant};
 
         let seed_dir = tempdir("fuzz-seed");
@@ -1856,23 +1891,12 @@ mod tests {
         let seed_bytes = std::fs::read(&seed_segment).unwrap();
 
         let mut rng = StdRng::seed_from_u64(0x5e67_f422);
-        for case in 0..400 {
+        for case in 0..500 {
             let mut bytes = seed_bytes.clone();
-            match case % 4 {
-                0 => {
-                    for _ in 0..rng.gen_range(1..4) {
-                        let at = rng.gen_range(0..bytes.len());
-                        bytes[at] ^= rng.gen_range(1..=255u8);
-                    }
-                }
-                1 => bytes.truncate(rng.gen_range(0..bytes.len())),
-                2 => {
-                    let at = rng.gen_range(0..=bytes.len());
-                    for _ in 0..rng.gen_range(1..9) {
-                        bytes.insert(at, rng.gen_range(0..=255u8));
-                    }
-                }
-                _ => {
+            let redigested = case % 5 == 4;
+            match case % 5 {
+                class @ 0..=2 => damage(&mut bytes, class, &mut rng),
+                3 => {
                     let (header, start, _) = records[rng.gen_range(0..records.len())];
                     let len = match rng.gen_range(0..4) {
                         0 => 0,
@@ -1883,6 +1907,26 @@ mod tests {
                     // `<kind> <16-hex key> <16-hex length> …`
                     let field = start as usize + header.kind.tag().len() + 18;
                     bytes[field..field + 16].copy_from_slice(format!("{len:016x}").as_bytes());
+                }
+                _ => {
+                    let target = rng.gen_range(0..records.len());
+                    let framed: Vec<_> = records
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(header, _, payload_start))| {
+                            let start = payload_start as usize;
+                            let end = start + header.len as usize;
+                            let mut payload = seed_bytes[start..end].to_vec();
+                            if i == target {
+                                match rng.gen_range(0..4) {
+                                    3 => edit_length_prefix(&mut payload, &mut rng),
+                                    class => damage(&mut payload, class, &mut rng),
+                                }
+                            }
+                            (header.kind, header.key, payload)
+                        })
+                        .collect();
+                    bytes = segment_bytes(&framed);
                 }
             }
 
@@ -1904,7 +1948,7 @@ mod tests {
                 started.elapsed()
             );
             let served_values = contents(&caches.0, &caches.1, &caches.2);
-            for (key, payload) in &served_values {
+            for (key, payload) in served_values.iter().filter(|_| !redigested) {
                 assert_eq!(
                     original.get(key),
                     Some(payload),
@@ -1942,6 +1986,60 @@ mod tests {
         }
         std::fs::remove_dir_all(tempdir("fuzz-case")).unwrap_or_default();
         std::fs::remove_dir_all(&seed_dir).unwrap();
+    }
+
+    /// Flip bytes (class 0), cut the tail (1), or insert bytes (2).
+    fn damage(bytes: &mut Vec<u8>, class: usize, rng: &mut StdRng) {
+        match class {
+            0 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] ^= rng.gen_range(1..=255u8);
+                }
+            }
+            1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+            _ => {
+                let at = rng.gen_range(0..=bytes.len());
+                for _ in 0..rng.gen_range(1..9) {
+                    bytes.insert(at, rng.gen_range(0..=255u8));
+                }
+            }
+        }
+    }
+
+    /// Rewrite one string-length prefix of a payload to an edge value.
+    fn edit_length_prefix(payload: &mut Vec<u8>, rng: &mut StdRng) {
+        // Numbers are 16 hex digits; a shorter all-digit line is a length.
+        let text = std::str::from_utf8(payload).expect("seed payloads are text");
+        let mut prefixes = Vec::new();
+        let mut at = 0;
+        for line in text.split_inclusive('\n') {
+            let digits = line.trim_end_matches('\n');
+            if let (true, Ok(old)) = (digits.len() != 16, digits.parse::<u64>()) {
+                prefixes.push((at..at + digits.len(), old));
+            }
+            at += line.len();
+        }
+        let (range, old) = prefixes[rng.gen_range(0..prefixes.len())].clone();
+        let value = [0, old + 1, old.saturating_sub(1), u64::MAX, rng.gen()][rng.gen_range(0..5)];
+        payload.splice(range, value.to_string().into_bytes());
+    }
+
+    /// A segment framing each `(kind, key digest, payload)` under a
+    /// header whose length and digest match the payload.
+    fn segment_bytes(records: &[(Kind, u64, Vec<u8>)]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        for (kind, key, payload) in records {
+            let header = Header {
+                kind: *kind,
+                key: *key,
+                len: payload.len() as u64,
+                digest: payload_digest(payload),
+            };
+            bytes.extend_from_slice(header.render().as_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        bytes
     }
 
     mod preproc_props {
@@ -2075,7 +2173,7 @@ mod tests {
             .snapshot()
             .into_iter()
             .map(|(k, v)| ((Kind::Object, object_key_digest(&k)), encode_object_entry(&k, &v)));
-        let configs = configs.snapshot().into_iter().map(|(fp, k, content_fp, cfg)| {
+        let configs = configs.snapshot().into_iter().map(|((fp, k, content_fp), cfg)| {
             let digest = config_key_digest(fp, k.arch(), k.kind_key(), content_fp);
             ((Kind::Config, digest), encode_config_entry(fp, content_fp, &cfg))
         });
@@ -2084,6 +2182,14 @@ mod tests {
             .into_iter()
             .map(|(k, v)| ((Kind::Preproc, preproc_key_digest(&k)), encode_preproc_entry(&k, &v)));
         objects.chain(configs).chain(preproc).collect()
+    }
+
+    /// Whether `objects` serves an entry for `key`.
+    fn serves(objects: &ObjectCache, key: &ObjectKey) -> bool {
+        objects
+            .lookup_verified(key, &Faults::disabled())
+            .entry
+            .is_some()
     }
 
     fn segments(root: &Path) -> Vec<PathBuf> {

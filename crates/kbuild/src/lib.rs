@@ -34,13 +34,11 @@ pub mod cache;
 pub mod clock;
 pub mod diskcache;
 pub mod hash;
-pub mod intern;
 pub mod makefile;
 pub mod objcache;
 pub mod objgraph;
 pub mod ppcache;
-#[cfg(test)]
-mod proptests;
+mod store;
 pub mod tree;
 
 pub use arch::{Arch, ArchRegistry};
@@ -57,7 +55,6 @@ pub use objcache::{
     include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectCacheStats, ObjectKey,
     VerifiedLookup,
 };
-pub use intern::{ArchId, PathId, TokenId};
 pub use objgraph::ObjGraph;
 pub use ppcache::{PreprocCache, PreprocCacheStats};
 pub use tree::{Blob, SourceTree};

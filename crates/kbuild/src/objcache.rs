@@ -31,15 +31,13 @@
 
 use crate::build::{BuildError, IFile};
 use crate::hash::{ContentHash, Fnv};
+use crate::store::{hit_rate, ShardKey, ShardedStore};
 use crate::tree::{IncludeScan, SourceTree};
 use jmake_faults::{FaultKind, FaultSite, Faults};
 use jmake_trace::CacheOutcome;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Number of independent lock shards, mirroring `ConfigCache`.
-const SHARDS: usize = 16;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which build operation an entry memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +70,15 @@ pub struct ObjectKey {
     pub arch: &'static str,
     /// Preprocess or full compile.
     pub kind: ObjKind,
+}
+
+impl ShardKey for ObjectKey {
+    fn shard_bits(&self) -> u64 {
+        // The blob hash is already strong; fold in the environment and
+        // include fingerprints so one hot file spreads across shards per
+        // configuration.
+        self.blob.hi() ^ self.env_fp ^ self.include_fp
+    }
 }
 
 /// One memoized outcome. `text_len` is stored even for failures: the
@@ -130,12 +137,7 @@ pub struct ObjectCacheStats {
 impl ObjectCacheStats {
     /// Fraction of lookups served from the cache, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
     }
 }
 
@@ -143,7 +145,7 @@ impl ObjectCacheStats {
 /// [`ObjectCache::lookup_verified`] recomputes the digest of the served
 /// entry and compares; a mismatch (only possible under injected
 /// corruption — entries are immutable in memory) quarantines the shard.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StoredObj {
     digest: u64,
     obj: Arc<CachedObj>,
@@ -165,13 +167,9 @@ pub struct VerifiedLookup {
 /// shared across the build engines of an evaluation run.
 #[derive(Debug, Default)]
 pub struct ObjectCache {
-    shards: [RwLock<HashMap<ObjectKey, StoredObj>>; SHARDS],
-    quarantined: [AtomicBool; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+    store: ShardedStore<ObjectKey, StoredObj>,
     negative_hits: AtomicU64,
     corruptions: AtomicU64,
-    quarantines: AtomicU64,
 }
 
 impl ObjectCache {
@@ -180,124 +178,62 @@ impl ObjectCache {
         ObjectCache::default()
     }
 
-    fn shard_index(&self, key: &ObjectKey) -> usize {
-        // The blob hash is already strong; fold in the environment and
-        // include fingerprints so one hot file spreads across shards per
-        // configuration.
-        (key.blob.hi() ^ key.env_fp ^ key.include_fp) as usize % SHARDS
-    }
-
-    /// Look up a memoized outcome; counts a hit or a miss (and a negative
-    /// hit when the entry memoizes a failure). The [`CacheOutcome`] is
-    /// derived from the same lookup that bumps the counters.
-    pub fn lookup(&self, key: &ObjectKey) -> (Option<Arc<CachedObj>>, CacheOutcome) {
-        let v = self.lookup_verified(key, &Faults::disabled());
-        (v.entry, v.outcome)
-    }
-
-    /// [`ObjectCache::lookup`] with integrity verification and fault
-    /// injection. The stored digest of the served entry is recomputed and
-    /// compared; under an injected [`FaultKind::Corrupt`] the served
-    /// digest is perturbed, the mismatch is detected, and the entry's
-    /// whole shard is flushed and **quarantined**: subsequent lookups
-    /// miss, inserts are dropped. The caller then recomputes live —
-    /// and because a hit charges the virtual clock exactly what a miss
-    /// does, recovery is charge-identical and reports stay bit-identical
-    /// even under corrupt-only fault profiles.
+    /// Look up a memoized outcome, counting a hit or a miss (and a
+    /// negative hit when the entry memoizes a failure); the
+    /// [`CacheOutcome`] comes from the same lookup that bumps the counters.
+    ///
+    /// The stored digest of the served entry is recomputed and compared;
+    /// under an injected [`FaultKind::Corrupt`] the served digest is
+    /// perturbed, the mismatch is detected, and the entry's whole shard
+    /// is flushed and **quarantined**: subsequent lookups miss, inserts
+    /// are dropped. The caller then recomputes live — and because a hit
+    /// charges the virtual clock exactly what a miss does, recovery is
+    /// charge-identical and reports stay bit-identical even under
+    /// corrupt-only fault profiles.
     pub fn lookup_verified(&self, key: &ObjectKey, faults: &Faults) -> VerifiedLookup {
-        let idx = self.shard_index(key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now: false,
-            };
-        }
-        let found = self.shards[idx]
-            .read()
-            .expect("object cache shard poisoned")
-            .get(key)
-            .map(|stored| (stored.digest, Arc::clone(&stored.obj)));
-        let Some((stored_digest, obj)) = found else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now: false,
-            };
-        };
-        // Simulated wire corruption: the fault layer flips the digest the
-        // shard "serves"; verification against the recomputed digest of
-        // the payload catches it, exactly as a real content-hash check
-        // over corrupted bytes would.
-        let mut served_digest = stored_digest;
-        if faults.is_enabled() {
-            let identity = format!("{}:{:016x}", key.path, key.blob.hi());
-            if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
-                served_digest ^= 0xdead_beef_dead_beef;
+        let mut corrupt = false;
+        let (found, outcome) = self.store.lookup_valid(key, |stored| {
+            // Simulated wire corruption: the fault layer flips the digest
+            // the shard "serves"; verification against the recomputed
+            // digest of the payload catches it, exactly as a real
+            // content-hash check over corrupted bytes would.
+            let mut served_digest = stored.digest;
+            if faults.is_enabled() {
+                let identity = format!("{}:{:016x}", key.path, key.blob.hi());
+                if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
+                    served_digest ^= 0xdead_beef_dead_beef;
+                }
             }
-        }
-        if served_digest != entry_digest(&obj) {
+            corrupt = served_digest != entry_digest(&stored.obj);
+            !corrupt
+        });
+        let mut quarantined_now = false;
+        if corrupt {
             self.corruptions.fetch_add(1, Ordering::Relaxed);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let quarantined_now = !self.quarantined[idx].swap(true, Ordering::AcqRel);
-            if quarantined_now {
-                self.quarantines.fetch_add(1, Ordering::Relaxed);
-                self.shards[idx]
-                    .write()
-                    .expect("object cache shard poisoned")
-                    .clear();
-            }
+            quarantined_now = self.store.quarantine(key);
             if let Some(stats) = faults.stats() {
                 stats.corruptions_detected.fetch_add(1, Ordering::Relaxed);
                 if quarantined_now {
                     stats.quarantined_shards.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            return VerifiedLookup {
-                entry: None,
-                outcome: CacheOutcome::Miss,
-                quarantined_now,
-            };
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if obj.is_negative() {
+        let entry = found.map(|stored| stored.obj);
+        if entry.as_ref().is_some_and(|obj| obj.is_negative()) {
             self.negative_hits.fetch_add(1, Ordering::Relaxed);
         }
         VerifiedLookup {
-            entry: Some(obj),
-            outcome: CacheOutcome::Hit,
-            quarantined_now: false,
+            entry,
+            outcome,
+            quarantined_now,
         }
     }
 
     /// Store an outcome. The first writer wins a race; later identical
     /// outcomes are dropped, as is anything aimed at a quarantined shard.
     pub fn insert(&self, key: ObjectKey, entry: Arc<CachedObj>) {
-        let idx = self.shard_index(&key);
-        if self.quarantined[idx].load(Ordering::Acquire) {
-            return;
-        }
         let digest = entry_digest(&entry);
-        self.shards[idx]
-            .write()
-            .expect("object cache shard poisoned")
-            .entry(key)
-            .or_insert(StoredObj { digest, obj: entry });
-    }
-
-    /// Number of distinct outcomes held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("object cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.store.insert(key, StoredObj { digest, obj: entry });
     }
 
     /// Every entry currently held, in unspecified order. Quarantined
@@ -305,30 +241,22 @@ impl ObjectCache {
     /// must not leak back out through persistence). The disk tier uses
     /// this to persist the cache at the end of a run.
     pub fn snapshot(&self) -> Vec<(ObjectKey, Arc<CachedObj>)> {
-        let mut out = Vec::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            if self.quarantined[idx].load(Ordering::Acquire) {
-                continue;
-            }
-            let shard = shard.read().expect("object cache shard poisoned");
-            out.extend(
-                shard
-                    .iter()
-                    .map(|(k, stored)| (k.clone(), Arc::clone(&stored.obj))),
-            );
-        }
-        out
+        self.store
+            .snapshot()
+            .into_iter()
+            .map(|(key, stored)| (key, stored.obj))
+            .collect()
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> ObjectCacheStats {
         ObjectCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.store.hits(),
+            misses: self.store.misses(),
             negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            entries: self.len() as u64,
+            entries: self.store.len() as u64,
             corruptions_detected: self.corruptions.load(Ordering::Relaxed),
-            quarantined_shards: self.quarantines.load(Ordering::Relaxed),
+            quarantined_shards: self.store.quarantined_shards(),
         }
     }
 }
@@ -544,30 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_and_counters_including_negative_hits() {
-        let cache = ObjectCache::new();
-        let k = key("int x;\n", 1);
-        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
-        cache.insert(
-            k.clone(),
-            Arc::new(CachedObj::I {
-                text_len: 7,
-                result: Err("missing header".to_string()),
-            }),
-        );
-        assert_eq!(cache.len(), 1);
-        let (found, outcome) = cache.lookup(&k);
-        assert_eq!(outcome, CacheOutcome::Hit);
-        assert!(found.unwrap().is_negative());
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.negative_hits, stats.entries),
-            (1, 1, 1, 1)
-        );
-        assert!((stats.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn corrupt_lookup_flushes_and_quarantines_the_shard() {
         use jmake_faults::FaultSpec;
         let cache = ObjectCache::new();
@@ -586,9 +490,10 @@ mod tests {
         assert!(v.quarantined_now);
         // The shard is out of service: lookups miss without consulting the
         // fault plan again, and inserts are dropped.
-        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
+        let disabled = Faults::disabled();
+        assert!(cache.lookup_verified(&k, &disabled).entry.is_none());
         cache.insert(k.clone(), entry());
-        assert!(matches!(cache.lookup(&k), (None, CacheOutcome::Miss)));
+        assert!(cache.lookup_verified(&k, &disabled).entry.is_none());
         assert!(!cache.lookup_verified(&k, &faults).quarantined_now);
         let stats = cache.stats();
         assert_eq!(stats.corruptions_detected, 1);
@@ -602,7 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn verified_lookup_without_faults_matches_plain_lookup() {
+    fn memoized_failures_count_as_negative_hits() {
         let cache = ObjectCache::new();
         let k = key("int y;\n", 2);
         cache.insert(

@@ -5,9 +5,10 @@
 //! every patch expands the same include closures. `jmake-cpp` exposes the
 //! mechanism ([`jmake_cpp::memo`]): record the complete effect of one
 //! header inclusion, replay it when an identical inclusion recurs. This
-//! module supplies the policy and storage:
+//! module supplies the policy, over the sharded store every host-side
+//! cache shares:
 //!
-//! - [`PreprocCache`] — a sharded, content-addressed store of
+//! - [`PreprocCache`] — a content-addressed store of
 //!   [`IncludeEffect`]s keyed by [`IncludeKey`] (header path, include-
 //!   closure fingerprint, macro-environment fingerprint, pragma-once
 //!   fingerprint, nesting depth). The key discipline is the object
@@ -28,16 +29,11 @@
 //! layer, so reports, Fig. 4 streams, and virtual-µs totals are
 //! byte-identical with the cache on or off.
 
-use crate::intern::{ArchId, PathId};
 use crate::objcache::include_fingerprint;
+use crate::store::{hit_rate, ShardKey, ShardedStore};
 use crate::tree::SourceTree;
 use jmake_cpp::{IncludeEffect, IncludeKey, IncludeMemo};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// Number of independent lock shards, mirroring the other caches.
-const SHARDS: usize = 16;
+use std::sync::Arc;
 
 /// Overflow bound for the closure-fingerprint memo. Epoch keys are dead
 /// once their tree is dropped (~2 trees per patch), so the memo is
@@ -63,12 +59,22 @@ pub struct PreprocCacheStats {
 impl PreprocCacheStats {
     /// Fraction of inclusions served from the cache, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        hit_rate(self.hits, self.misses)
+    }
+}
+
+impl ShardKey for IncludeKey {
+    fn shard_bits(&self) -> u64 {
+        self.closure_fp ^ self.macro_fp
+    }
+}
+
+/// Closure-memo key: (tree epoch, architecture, header path).
+type ClosureKey = (u64, &'static str, String);
+
+impl ShardKey for ClosureKey {
+    fn shard_bits(&self) -> u64 {
+        self.0 ^ self.2.len() as u64
     }
 }
 
@@ -77,12 +83,8 @@ impl PreprocCacheStats {
 /// disk tier between runs).
 #[derive(Debug, Default)]
 pub struct PreprocCache {
-    shards: [RwLock<HashMap<IncludeKey, Arc<IncludeEffect>>>; SHARDS],
-    closure: RwLock<HashMap<(u64, ArchId, PathId), Option<u64>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    closure_hits: AtomicU64,
-    closure_misses: AtomicU64,
+    store: ShardedStore<IncludeKey, Arc<IncludeEffect>>,
+    closures: ShardedStore<ClosureKey, Option<u64>>,
 }
 
 impl PreprocCache {
@@ -91,90 +93,47 @@ impl PreprocCache {
         PreprocCache::default()
     }
 
-    fn shard_index(key: &IncludeKey) -> usize {
-        (key.closure_fp ^ key.macro_fp) as usize % SHARDS
-    }
-
     /// Look up a recorded effect; counts a hit or a miss.
     pub fn lookup(&self, key: &IncludeKey) -> Option<Arc<IncludeEffect>> {
-        let found = self.shards[Self::shard_index(key)]
-            .read()
-            .expect("preproc cache shard poisoned")
-            .get(key)
-            .map(Arc::clone);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.store.lookup(key).0
     }
 
     /// Store an effect. The first writer wins a race; identical later
     /// recordings are dropped.
     pub fn insert(&self, key: IncludeKey, effect: Arc<IncludeEffect>) {
-        self.shards[Self::shard_index(&key)]
-            .write()
-            .expect("preproc cache shard poisoned")
-            .entry(key)
-            .or_insert(effect);
+        self.store.insert(key, effect);
     }
 
     /// The include-closure fingerprint of `(tree, arch, path)`, memoized
     /// by tree epoch (equal epochs imply identical trees, so the walk
     /// runs once per distinct tree rather than once per inclusion).
     pub fn closure_fp(&self, tree: &SourceTree, arch: &'static str, path: &str) -> Option<u64> {
-        let key = (tree.epoch(), ArchId::intern(arch), PathId::intern(path));
-        if let Some(fp) = self
-            .closure
-            .read()
-            .expect("closure memo poisoned")
-            .get(&key)
-        {
-            self.closure_hits.fetch_add(1, Ordering::Relaxed);
-            return *fp;
+        let key = (tree.epoch(), arch, path.to_string());
+        if let (Some(fp), _) = self.closures.lookup(&key) {
+            return fp;
         }
-        self.closure_misses.fetch_add(1, Ordering::Relaxed);
         let fp = include_fingerprint(tree, arch, path);
-        let mut memo = self.closure.write().expect("closure memo poisoned");
-        if memo.len() >= CLOSURE_CAP {
-            memo.clear();
+        if self.closures.len() >= CLOSURE_CAP {
+            self.closures.clear();
         }
-        memo.insert(key, fp);
+        self.closures.insert(key, fp);
         fp
-    }
-
-    /// Number of distinct effects held.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("preproc cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Every entry currently held, in unspecified order (the disk tier
     /// persists the cache at the end of a run).
     pub fn snapshot(&self) -> Vec<(IncludeKey, Arc<IncludeEffect>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().expect("preproc cache shard poisoned");
-            out.extend(shard.iter().map(|(k, e)| (k.clone(), Arc::clone(e))));
-        }
-        out
+        self.store.snapshot()
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> PreprocCacheStats {
         PreprocCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-            closure_hits: self.closure_hits.load(Ordering::Relaxed),
-            closure_misses: self.closure_misses.load(Ordering::Relaxed),
+            hits: self.store.hits(),
+            misses: self.store.misses(),
+            entries: self.store.len() as u64,
+            closure_hits: self.closures.hits(),
+            closure_misses: self.closures.misses(),
         }
     }
 }
@@ -224,37 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_insert_and_counters() {
-        let cache = PreprocCache::new();
-        assert!(cache.lookup(&key(1)).is_none());
-        cache.insert(key(1), Arc::new(IncludeEffect::default()));
-        assert!(cache.lookup(&key(1)).is_some());
-        assert!(cache.lookup(&key(2)).is_none());
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn first_insert_wins() {
-        let cache = PreprocCache::new();
-        let first = Arc::new(IncludeEffect {
-            chunk: "first".to_string(),
-            ..IncludeEffect::default()
-        });
-        cache.insert(key(1), Arc::clone(&first));
-        cache.insert(
-            key(1),
-            Arc::new(IncludeEffect {
-                chunk: "second".to_string(),
-                ..IncludeEffect::default()
-            }),
-        );
-        assert_eq!(cache.lookup(&key(1)).unwrap().chunk, "first");
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
     fn closure_fp_memoizes_by_epoch() {
         let mut tree = SourceTree::new();
         tree.insert("include/linux/k.h", "#define K 1\n");
@@ -287,7 +215,7 @@ mod tests {
         assert!(memo.lookup(&k).is_none());
         memo.insert(k.clone(), Arc::new(IncludeEffect::default()));
         assert!(memo.lookup(&k).is_some());
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

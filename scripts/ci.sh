@@ -18,6 +18,14 @@ echo "==> cargo clippy --all-targets -- -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone \
   -D clippy::needless_pass_by_value -D clippy::manual_let_else
 
+echo "==> no Box::leak in crate sources"
+# Leaked allocations live until exit, so a long-lived jmake-serve grows
+# without bound; every cache must own (and be able to drop) its data.
+if git grep -n 'Box::leak' -- 'crates/*/src'; then
+  echo "Box::leak found in crate sources" >&2
+  exit 1
+fi
+
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings: broken intra-doc links fail)"
 # The vendored offline stand-ins (rand/proptest/criterion) are excluded:
 # they mimic external APIs and are not part of this repo's doc surface.
