@@ -554,9 +554,13 @@ fn main() {
         selected
     });
     let mut ctx = build_context_from_workload(&profile, workload, &driver);
+    // Two denominators, each named: the commits the driver ran (what
+    // `--stats` and bench-json count) and the patches the report tables
+    // count (a checked commit with at least one reported .c/.h file).
     eprintln!(
-        "evaluation finished in {:.1}s wall clock ({} patches)",
+        "evaluation finished in {:.1}s wall clock ({} commits run by the driver, {} patches with a reported .c/.h file)",
         started.elapsed().as_secs_f64(),
+        ctx.run.stats.patches,
         ctx.all.patches
     );
     if let Some(disk) = &disk {

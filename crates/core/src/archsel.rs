@@ -9,7 +9,7 @@
 //! prepared configuration under `arch/<a>/configs/`, one such file (chosen
 //! deterministically) is tried too.
 
-use jmake_kbuild::{ArchRegistry, ConfigKind, ObjGraph, SourceTree};
+use jmake_kbuild::{ConfigKind, ObjGraph, SourceTree};
 use std::collections::BTreeMap;
 
 /// One (architecture, configuration) pair to try.
@@ -49,35 +49,21 @@ pub struct ArchSelector {
 }
 
 impl ArchSelector {
-    /// Scan `tree` and build the index.
+    /// Scan `tree`'s `arch/` subtree and build the index. Nothing outside
+    /// `arch/` is read, so two trees with the same `arch/` files (paths
+    /// and content) build the same index.
     pub fn new(tree: &SourceTree) -> Self {
-        let registry = ArchRegistry::new();
         let mut sel = ArchSelector::default();
-        let mut arches: Vec<String> = tree
-            .paths()
-            .filter_map(|p| {
-                p.strip_prefix("arch/")
-                    .and_then(|r| r.split('/').next())
-                    .map(str::to_string)
-            })
-            .collect();
-        arches.sort();
-        arches.dedup();
-        // Host first, then arm (the paper's observed second-most-useful),
-        // then the rest alphabetically.
-        arches.sort_by_key(|a| (a != "x86_64", a != "arm", a.clone()));
-        sel.arches = arches;
-
-        let _ = registry; // consulted by callers; index is registry-agnostic
-        for (path, content) in tree.iter() {
-            let Some(rest) = path.strip_prefix("arch/") else {
-                continue;
-            };
+        for (path, blob) in tree.blobs_under("arch") {
+            let rest = &path["arch/".len()..];
             let Some(arch) = rest.split('/').next() else {
                 continue;
             };
+            if sel.arches.last().map(String::as_str) != Some(arch) {
+                sel.arches.push(arch.to_string());
+            }
             let is_defconfig = rest.strip_prefix(&format!("{arch}/configs/")).is_some();
-            for var in config_vars_in(content, path.ends_with("Kconfig")) {
+            for var in config_vars_in(blob.text(), path.ends_with("Kconfig")) {
                 let arches = sel.mentions.entry(var.clone()).or_default();
                 if !arches.contains(&arch.to_string()) {
                     arches.push(arch.to_string());
@@ -90,6 +76,10 @@ impl ArchSelector {
                 }
             }
         }
+        // Host first, then arm (the paper's observed second-most-useful),
+        // then the rest alphabetically.
+        sel.arches
+            .sort_by_key(|a| (a != "x86_64", a != "arm", a.clone()));
         sel
     }
 

@@ -8,9 +8,10 @@ use crate::report::{FileReport, FileStatus, PatchReport, UncoveredMutation};
 use crate::token::{MutationKind, MutationToken};
 use jmake_cpp::analyze;
 use jmake_diff::{changed_lines, ChangeKind, Patch};
-use jmake_kbuild::{tree::file_name, BuildEngine, BuildError, ConfigKind, SourceTree};
+use jmake_kbuild::{tree::file_name, BuildEngine, BuildError, ConfigKind, ContentHash, SourceTree};
 use jmake_trace::Stage;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Tunable behaviour of the pipeline.
 #[derive(Debug, Clone)]
@@ -75,10 +76,27 @@ impl Default for Options {
 }
 
 /// The JMake checker.
-#[derive(Debug, Clone, Default)]
+///
+/// A checker remembers the arch index of the last tree it checked (one
+/// entry, owned by this checker), and reuses it for the next patch when
+/// that tree's `arch/` files are the same paths with the same content.
+/// Consecutive commits rarely touch `arch/`, so an evaluation worker
+/// rescans it only when a patch does.
+#[derive(Debug, Default)]
 pub struct JMake {
     /// Behaviour knobs.
     pub options: Options,
+    last_arch: Mutex<Option<ArchMemo>>,
+}
+
+/// An arch index with the `arch/` files it was built from: path and
+/// content hash, in path order.
+type ArchMemo = (Vec<(Arc<str>, ContentHash)>, Arc<ArchSelector>);
+
+impl Clone for JMake {
+    fn clone(&self) -> Self {
+        JMake::with_options(self.options.clone())
+    }
 }
 
 impl JMake {
@@ -89,7 +107,26 @@ impl JMake {
 
     /// A checker with explicit options.
     pub fn with_options(options: Options) -> Self {
-        JMake { options }
+        JMake {
+            options,
+            last_arch: Mutex::default(),
+        }
+    }
+
+    /// The arch index of `tree`: the last one built when `tree`'s `arch/`
+    /// files match it exactly, else a fresh scan that replaces it.
+    fn arch_selector(&self, tree: &SourceTree) -> Arc<ArchSelector> {
+        let arch_files = || tree.blobs_under("arch").map(|(p, b)| (p, b.hash()));
+        let mut last = self.last_arch.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((files, selector)) = &*last {
+            if files.iter().map(|(p, h)| (p, *h)).eq(arch_files()) {
+                return Arc::clone(selector);
+            }
+        }
+        let selector = Arc::new(ArchSelector::new(tree));
+        let files = arch_files().map(|(p, h)| (Arc::clone(p), h)).collect();
+        *last = Some((files, Arc::clone(&selector)));
+        selector
     }
 
     /// Check one patch against the snapshot held by `engine` (the
@@ -106,7 +143,7 @@ impl JMake {
         let start_o = engine.clock.samples.o_gen.len();
 
         let base = engine.tree().clone();
-        let selector = ArchSelector::new(&base);
+        let selector = self.arch_selector(&base);
         let mut works = self.collect_work(engine, &base, &selector, patch);
         // Path → work-slot index: `run_target` resolves files by name on
         // every trial, so give it O(1) lookups instead of linear scans.
@@ -143,7 +180,7 @@ impl JMake {
             &mut expanded_macros,
             &mut header_memo,
         );
-        let files = self.finish(engine, &base, works, &expanded_macros);
+        let files = self.finish(engine, &base, &selector, works, &expanded_macros);
 
         PatchReport {
             author: author.to_string(),
@@ -604,12 +641,13 @@ impl JMake {
         &self,
         engine: &mut BuildEngine,
         base: &SourceTree,
+        selector: &ArchSelector,
         works: Vec<Work>,
         expanded_macros: &HashSet<String>,
     ) -> Vec<FileReport> {
         let mut span = engine.tracer().span(Stage::Classify);
         let before = engine.clock.now_us();
-        let reports = self.finish_inner(engine, base, works, expanded_macros);
+        let reports = self.finish_inner(engine, base, selector, works, expanded_macros);
         span.set_virtual_us(engine.clock.now_us() - before);
         reports
     }
@@ -618,6 +656,7 @@ impl JMake {
         &self,
         engine: &mut BuildEngine,
         base: &SourceTree,
+        selector: &ArchSelector,
         works: Vec<Work>,
         expanded_macros: &HashSet<String>,
     ) -> Vec<FileReport> {
@@ -627,7 +666,7 @@ impl JMake {
             .make_config("x86_64", &ConfigKind::AllYes)
             .ok()
             .or_else(|| {
-                ArchSelector::new(base)
+                selector
                     .arches()
                     .iter()
                     .find_map(|a| engine.make_config(a, &ConfigKind::AllYes).ok())

@@ -520,3 +520,32 @@ fn report_display_is_actionable() {
     assert!(text.contains("#if 0"), "{text}");
     assert!(text.contains("kernel/sched.c"), "{text}");
 }
+
+#[test]
+fn arch_index_is_rebuilt_when_an_arch_kconfig_line_changes() {
+    // The only arch/ mention of PL330 is a `select` line in arm's Kconfig;
+    // tree B drops it, so pl330.c loses its arm candidate there.
+    let with_select = |arm_kconfig: &str| {
+        let mut t = mini_kernel();
+        t.remove("arch/arm/mach/board.c");
+        t.remove("arch/arm/configs/multi_defconfig");
+        t.insert("arch/arm/Kconfig", arm_kconfig);
+        edit(
+            t,
+            "drivers/dma/pl330.c",
+            "#include <asm/dma.h>\nint pl330_probe(void)\n{\nreturn DMA_BASE + 1;\n}\n",
+        )
+    };
+    let (tree_a, patch) = with_select("config ARM\n\tdef_bool y\n\tselect PL330\n");
+    let (tree_b, _) = with_select("config ARM\n\tdef_bool y\n");
+
+    let jmake = JMake::new();
+    let report_a = jmake.check_patch(&mut BuildEngine::new(tree_a), &patch, "a");
+    let report_b = jmake.check_patch(&mut BuildEngine::new(tree_b.clone()), &patch, "a");
+    let fresh_b = JMake::new().check_patch(&mut BuildEngine::new(tree_b), &patch, "a");
+    assert_eq!(report_b, fresh_b);
+    assert_ne!(
+        report_a.files[0].targets_tried, report_b.files[0].targets_tried,
+        "the Kconfig line must change the candidates for the test to bite"
+    );
+}

@@ -419,12 +419,11 @@ impl BuildEngine {
     /// compilation of the entire kernel).
     pub fn new(tree: SourceTree) -> Self {
         let bootstrap = bootstrap_files_of(&tree);
-        let mut heavy = BTreeSet::new();
-        for p in tree.paths() {
-            if p == "arch/powerpc/kernel/prom_init.c" {
-                heavy.insert(p.to_string());
-            }
-        }
+        let heavy = ["arch/powerpc/kernel/prom_init.c"]
+            .into_iter()
+            .filter(|p| tree.contains(p))
+            .map(str::to_string)
+            .collect();
         BuildEngine {
             base: tree,
             registry: ArchRegistry::new(),
@@ -1028,8 +1027,8 @@ pub fn bootstrap_files_of(tree: &SourceTree) -> BTreeSet<String> {
             bootstrap.insert(candidate.to_string());
         }
     }
-    for p in tree.paths() {
-        if p.starts_with("arch/") && p.ends_with("/kernel/asm-offsets.c") {
+    for p in tree.files_under("arch") {
+        if p.ends_with("/kernel/asm-offsets.c") {
             bootstrap.insert(p.to_string());
         }
     }

@@ -98,6 +98,13 @@ impl ConfigCache {
         self.store.snapshot()
     }
 
+    /// Start a new generation and drop the entries no lookup or insert
+    /// used in the last `window` generations (a long-lived owner calls
+    /// this once per unit of work). Counters are unchanged.
+    pub fn retain_recent(&self, window: u64) {
+        self.store.retain_recent(window);
+    }
+
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -113,24 +120,25 @@ impl ConfigCache {
     /// directives chase, which kernel convention names `Kconfig*`), and
     /// every prepared configuration under `arch/*/configs/`.
     ///
+    /// Digests each file's path and cached [`Blob::hash`](crate::Blob::hash)
+    /// rather than its bytes, so a tree whose blobs come from the version
+    /// store (hashed once when stored) is fingerprinted without reading
+    /// any file content.
+    ///
     /// Two trees with equal fingerprints solve to identical
     /// configurations for every `(arch, kind)`, so solved configs are
     /// safely shared across patches that do not touch those files.
     pub fn fingerprint_tree(tree: &SourceTree) -> u64 {
-        let mut paths: Vec<&str> = tree
-            .paths()
-            .filter(|p| {
-                p.rsplit('/').next().is_some_and(|name| name.contains("Kconfig"))
-                    || (p.starts_with("arch/") && p.contains("/configs/"))
-            })
-            .collect();
-        paths.sort_unstable();
         let mut h = Fnv::new();
-        for p in paths {
-            h.write(p.as_bytes());
-            h.write(&[0]);
-            h.write(tree.get(p).unwrap_or_default().as_bytes());
-            h.write(&[0xff]);
+        for (p, blob) in tree.iter_blobs() {
+            let name = p.rsplit('/').next().unwrap_or_default();
+            if name.contains("Kconfig") || (p.starts_with("arch/") && p.contains("/configs/")) {
+                let hash = blob.hash();
+                h.write(p.as_bytes());
+                h.write(&[0]);
+                h.write(&hash.hi().to_le_bytes());
+                h.write(&hash.lo().to_le_bytes());
+            }
         }
         h.finish()
     }

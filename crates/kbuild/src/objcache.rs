@@ -248,6 +248,13 @@ impl ObjectCache {
             .collect()
     }
 
+    /// Start a new generation and drop the entries no lookup or insert
+    /// used in the last `window` generations (a long-lived owner calls
+    /// this once per unit of work). Counters are unchanged.
+    pub fn retain_recent(&self, window: u64) {
+        self.store.retain_recent(window);
+    }
+
     /// Snapshot of the counters.
     pub fn stats(&self) -> ObjectCacheStats {
         ObjectCacheStats {

@@ -5,7 +5,8 @@
 //! content-addressed entries shared by every worker of a run. They differ
 //! in key, value, and what they verify on the way out; the storage is
 //! this one type: [`SHARDS`] `RwLock<HashMap>` shards, a first-writer-wins
-//! insert, hit/miss counters, and per-shard quarantine.
+//! insert, hit/miss counters, per-shard quarantine, and a generation
+//! stamp per entry so a long-lived owner can drop what it stopped using.
 
 use jmake_trace::CacheOutcome;
 use std::collections::HashMap;
@@ -33,16 +34,30 @@ pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
+/// One held value and the last generation that looked it up or
+/// inserted it.
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    used: AtomicU64,
+}
+
 /// A thread-safe map from `K` to `V` in [`SHARDS`] independently locked
 /// shards. A quarantined shard is flushed and out of service for the
 /// store's lifetime: lookups miss, inserts are dropped, and
 /// [`ShardedStore::snapshot`] skips it.
+///
+/// Every entry records the generation that last used it. Nothing evicts
+/// on its own: an owner that wants bounded memory starts a new
+/// generation per unit of work with [`ShardedStore::retain_recent`],
+/// which drops entries unused for a window of generations.
 #[derive(Debug)]
 pub(crate) struct ShardedStore<K, V> {
-    shards: [RwLock<HashMap<K, V>>; SHARDS],
+    shards: [RwLock<HashMap<K, Slot<V>>>; SHARDS],
     quarantined: [AtomicBool; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
+    generation: AtomicU64,
 }
 
 impl<K, V> Default for ShardedStore<K, V> {
@@ -52,6 +67,7 @@ impl<K, V> Default for ShardedStore<K, V> {
             quarantined: Default::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            generation: AtomicU64::new(0),
         }
     }
 }
@@ -87,7 +103,10 @@ impl<K: ShardKey, V: Clone> ShardedStore<K, V> {
                 .read()
                 .expect("cache shard poisoned")
                 .get(key)
-                .cloned()
+                .map(|slot| {
+                    slot.used.fetch_max(self.generation(), Ordering::Relaxed);
+                    slot.value.clone()
+                })
         };
         match found.filter(valid) {
             Some(value) => {
@@ -109,11 +128,38 @@ impl<K: ShardKey, V: Clone> ShardedStore<K, V> {
         if self.quarantined[idx].load(Ordering::Acquire) {
             return;
         }
+        let used = self.generation();
         self.shards[idx]
             .write()
             .expect("cache shard poisoned")
             .entry(key)
-            .or_insert(value);
+            .or_insert(Slot {
+                value,
+                used: AtomicU64::new(used),
+            })
+            .used
+            .fetch_max(used, Ordering::Relaxed);
+    }
+
+    /// The current generation, stamped on every entry a lookup finds or
+    /// an insert offers.
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Relaxed)
+    }
+
+    /// Start a new generation, then drop every entry last used more than
+    /// `window` generations ago: with a window of one, exactly the
+    /// entries used since the previous call survive. Counters and
+    /// quarantine are untouched.
+    pub(crate) fn retain_recent(&self, window: u64) {
+        let now = self.generation.fetch_add(1, Ordering::Relaxed) + 1;
+        let oldest = now.saturating_sub(window);
+        for shard in &self.shards {
+            shard
+                .write()
+                .expect("cache shard poisoned")
+                .retain(|_, slot| *slot.used.get_mut() >= oldest);
+        }
     }
 
     /// Flush `key`'s shard and take it out of service. Returns true when
@@ -163,7 +209,7 @@ impl<K: ShardKey, V: Clone> ShardedStore<K, V> {
                 continue;
             }
             let shard = shard.read().expect("cache shard poisoned");
-            out.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
+            out.extend(shard.iter().map(|(k, slot)| (k.clone(), slot.value.clone())));
         }
         out
     }
@@ -243,5 +289,40 @@ mod tests {
         store.insert(same_shard, 0);
         assert_eq!(store.lookup(&same_shard), (None, CacheOutcome::Miss));
         assert_eq!(store.snapshot(), vec![(4, 4)]);
+    }
+
+    #[test]
+    fn retention_keeps_the_window_and_nothing_else() {
+        let store = ShardedStore::<u64, u64>::default();
+        let same_shard = 3 + SHARDS as u64;
+        for key in [1, 2, 3, same_shard] {
+            store.insert(key, key);
+        }
+        assert!(store.quarantine(&same_shard)); // takes key 3 with it
+        store.lookup(&3);
+        let counters = |s: &ShardedStore<u64, u64>| (s.hits(), s.misses(), s.quarantined_shards());
+        let before = counters(&store);
+
+        // Generation 1: key 1 is looked up, key 4 inserted, key 2 idle.
+        store.retain_recent(2);
+        assert_eq!(store.len(), 2, "everything was used inside the window");
+        store.lookup(&1);
+        store.insert(4, 4);
+        store.retain_recent(1);
+        let mut held: Vec<u64> = store.snapshot().into_iter().map(|(k, _)| k).collect();
+        held.sort_unstable();
+        assert_eq!(held, vec![1, 4], "key 2 was unused in the last generation");
+
+        // A re-insert of a held key renews it without replacing the value.
+        store.insert(4, 40);
+        store.retain_recent(1);
+        assert_eq!(store.snapshot(), vec![(4, 4)]);
+        store.retain_recent(1);
+        assert_eq!(store.len(), 0);
+
+        // Only the lookups above moved the counters; quarantine held.
+        assert_eq!(counters(&store), (before.0 + 1, before.1, before.2));
+        store.insert(same_shard, 0);
+        assert_eq!(store.len(), 0, "the quarantined shard stays out of service");
     }
 }

@@ -3,6 +3,7 @@
 use crate::hash::ContentHash;
 use crate::makefile::Makefile;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -121,11 +122,15 @@ impl Eq for Blob {}
 /// Paths are `/`-separated and relative to the tree root
 /// (`drivers/net/e1000.c`). The paper's evaluation kept 25 clones of the
 /// kernel tree in a tmpfs for the same reason: eliminate disk access.
-/// Contents are [`Blob`]s behind `Arc`, so cloning a tree copies pointers,
-/// not file text.
+///
+/// The path map is copy-on-write: a clone shares it behind one `Arc`
+/// (O(1), whatever the tree's size), and the first mutation of a shared
+/// map copies its entries — pointers to `Arc`'d [`Blob`]s, never file
+/// text. A checkout, a patch's base tree and the include memo's pinned
+/// tree therefore cost nothing until someone writes to them.
 #[derive(Debug, Clone)]
 pub struct SourceTree {
-    files: BTreeMap<Arc<str>, Arc<Blob>>,
+    files: Arc<BTreeMap<Arc<str>, Arc<Blob>>>,
     bytes: u64,
     epoch: u64,
 }
@@ -134,8 +139,20 @@ impl SourceTree {
     /// An empty tree.
     pub fn new() -> Self {
         SourceTree {
-            files: BTreeMap::new(),
+            files: Arc::default(),
             bytes: 0,
+            epoch: next_epoch(),
+        }
+    }
+
+    /// A tree over `(path, blob)` pairs. Built in one pass, so the map's
+    /// nodes are packed full: a tree that is kept (a commit snapshot)
+    /// takes less memory than one grown by inserts.
+    pub fn from_blobs(files: impl IntoIterator<Item = (Arc<str>, Arc<Blob>)>) -> Self {
+        let files: BTreeMap<Arc<str>, Arc<Blob>> = files.into_iter().collect();
+        SourceTree {
+            bytes: files.values().map(|b| b.len() as u64).sum(),
+            files: Arc::new(files),
             epoch: next_epoch(),
         }
     }
@@ -149,15 +166,19 @@ impl SourceTree {
     /// Insert or replace a file as a pre-built (possibly shared) blob.
     pub fn insert_blob(&mut self, path: Arc<str>, blob: Arc<Blob>) {
         self.bytes += blob.len() as u64;
-        if let Some(old) = self.files.insert(path, blob) {
+        if let Some(old) = Arc::make_mut(&mut self.files).insert(path, blob) {
             self.bytes -= old.len() as u64;
         }
         self.epoch = next_epoch();
     }
 
-    /// Remove a file; returns its content if present.
+    /// Remove a file; returns its content if present. Removing an absent
+    /// path neither copies a shared map nor changes the epoch.
     pub fn remove(&mut self, path: &str) -> Option<String> {
-        let old = self.files.remove(path)?;
+        if !self.files.contains_key(path) {
+            return None;
+        }
+        let old = Arc::make_mut(&mut self.files).remove(path)?;
         self.bytes -= old.len() as u64;
         self.epoch = next_epoch();
         Some(old.text().to_string())
@@ -189,11 +210,26 @@ impl SourceTree {
     }
 
     /// Iterate over paths under `prefix` (a directory path without a
-    /// trailing slash, or `""` for the whole tree).
-    pub fn files_under<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.files.keys().map(|p| &**p).filter(move |p| {
-            prefix.is_empty() || p.strip_prefix(prefix).is_some_and(|r| r.starts_with('/'))
-        })
+    /// trailing slash, or `""` for the whole tree), in path order.
+    pub fn files_under<'a>(&'a self, prefix: &str) -> impl Iterator<Item = &'a str> + 'a {
+        self.blobs_under(prefix).map(|(p, _)| &**p)
+    }
+
+    /// Iterate over `(path, blob)` under `prefix`, in path order.
+    ///
+    /// A range lookup: the paths under `d` are exactly those in
+    /// `["d/", "d0")`, since `'0'` is the byte after `'/'`. Its cost is the
+    /// directory's size plus a logarithmic seek, not the tree's size.
+    pub fn blobs_under<'a>(
+        &'a self,
+        prefix: &str,
+    ) -> impl Iterator<Item = (&'a Arc<str>, &'a Arc<Blob>)> + 'a {
+        if prefix.is_empty() {
+            return self.files.range::<str, _>(..);
+        }
+        let (lo, hi) = (format!("{prefix}/"), format!("{prefix}0"));
+        self.files
+            .range::<str, _>((Bound::Included(&*lo), Bound::Excluded(&*hi)))
     }
 
     /// Number of files.
@@ -233,7 +269,8 @@ impl Default for SourceTree {
 
 impl PartialEq for SourceTree {
     fn eq(&self, other: &Self) -> bool {
-        self.files.len() == other.files.len()
+        Arc::ptr_eq(&self.files, &other.files)
+            || self.files.len() == other.files.len()
             && self
                 .files
                 .iter()
@@ -354,6 +391,57 @@ mod tests {
             t.get_blob("Makefile").unwrap(),
             u.get_blob("Makefile").unwrap()
         ));
+    }
+
+    #[test]
+    fn clone_shares_the_map() {
+        let t = sample();
+        let u = t.clone();
+        assert!(Arc::ptr_eq(&t.files, &u.files));
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_alone() {
+        let t = sample();
+        let snapshot = |t: &SourceTree| -> Vec<(String, String)> {
+            t.iter().map(|(p, c)| (p.to_string(), c.to_string())).collect()
+        };
+        let (epoch, before) = (t.epoch(), snapshot(&t));
+        let mut u = t.clone();
+        u.insert("drivers/net/a.c", "int changed;\n");
+        u.remove("Makefile");
+        assert!(!Arc::ptr_eq(&t.files, &u.files));
+        assert_eq!(t.epoch(), epoch);
+        assert_eq!(snapshot(&t), before);
+        assert_eq!(u.get("drivers/net/a.c"), Some("int changed;\n"));
+    }
+
+    #[test]
+    fn removing_an_absent_path_neither_copies_nor_bumps_the_epoch() {
+        let t = sample();
+        let mut u = t.clone();
+        assert_eq!(u.remove("drivers/net/missing.c"), None);
+        assert!(Arc::ptr_eq(&t.files, &u.files));
+        assert_eq!(u.epoch(), t.epoch());
+    }
+
+    #[test]
+    fn files_under_is_exact_around_the_separator() {
+        let mut t = SourceTree::new();
+        // '-' and '.' sort before '/', '0' right after it.
+        for p in [
+            "drivers/net-x/a.c",
+            "drivers/net.c",
+            "drivers/net0/b.c",
+            "drivers/net/a.c",
+            "drivers/net/sub/c.c",
+        ] {
+            t.insert(p, "x\n");
+        }
+        let under: Vec<&str> = t.files_under("drivers/net").collect();
+        assert_eq!(under, vec!["drivers/net/a.c", "drivers/net/sub/c.c"]);
+        assert_eq!(t.files_under("drivers").count(), 5);
+        assert_eq!(t.files_under("drivers/net0").collect::<Vec<_>>(), vec!["drivers/net0/b.c"]);
     }
 
     #[test]

@@ -58,11 +58,16 @@ impl BlobStore {
         id
     }
 
-    /// Store an existing (possibly shared) blob, returning its id.
-    pub fn put_blob(&mut self, blob: &Arc<Blob>) -> BlobId {
-        let id = BlobId(blob.hash());
-        self.blobs.entry(id).or_insert_with(|| Arc::clone(blob));
-        id
+    /// Store an existing (possibly shared) blob and return the store's
+    /// canonical handle for its content: the first blob stored with that
+    /// content, so every snapshot holding it shares one blob and its
+    /// derived state.
+    pub fn put_blob(&mut self, blob: &Arc<Blob>) -> Arc<Blob> {
+        let canonical = self
+            .blobs
+            .entry(BlobId(blob.hash()))
+            .or_insert_with(|| Arc::clone(blob));
+        Arc::clone(canonical)
     }
 
     /// Retrieve a blob's content.

@@ -134,6 +134,15 @@ for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
 ./target/release/jmake-serve --client "$SERVE_SOCK" \
   --commits 120 --workers 8 all > "$SERVED_OUT"
 diff -u "$COLD_OUT" "$SERVED_OUT"
+# Three fresh seeds push the first request's entries out of the daemon's
+# retention window; its repeat must still be byte-identical.
+for seed in 2 3 4; do
+  ./target/release/jmake-serve --client "$SERVE_SOCK" \
+    --commits 120 --workers 8 --seed "$seed" all > /dev/null
+done
+./target/release/jmake-serve --client "$SERVE_SOCK" \
+  --commits 120 --workers 8 all > "$SERVED_OUT"
+diff -u "$COLD_OUT" "$SERVED_OUT"
 ./target/release/jmake-serve --client "$SERVE_SOCK" --shutdown
 wait "$SERVE_PID"
 
