@@ -72,7 +72,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const MAGIC: &[u8] = b"jmake-cache v2\n";
 
@@ -258,6 +258,17 @@ impl Segment {
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     root: PathBuf,
+    /// Keys of the segments this handle (or a clone) has read or
+    /// written, so a store reads only the headers of segments that
+    /// appeared since its last call.
+    known: Arc<Mutex<KnownKeys>>,
+}
+
+/// The (kind, key digest) of every record in the segments named.
+#[derive(Debug, Default)]
+struct KnownKeys {
+    segments: HashSet<PathBuf>,
+    keys: HashSet<(Kind, u64)>,
 }
 
 impl DiskCache {
@@ -266,7 +277,10 @@ impl DiskCache {
         let root = root.into();
         std::fs::create_dir_all(root.join("segments"))?;
         std::fs::create_dir_all(root.join("quarantine"))?;
-        Ok(DiskCache { root })
+        Ok(DiskCache {
+            root,
+            known: Arc::default(),
+        })
     }
 
     /// The cache's root directory.
@@ -346,7 +360,6 @@ impl DiskCache {
         preproc: &PreprocCache,
     ) -> io::Result<DiskTierStats> {
         let mut stats = DiskTierStats::default();
-        let known = self.known_keys()?;
         let objects = objects.snapshot();
         let configs = configs.snapshot();
         let preproc = preproc.snapshot();
@@ -365,8 +378,11 @@ impl DiskCache {
                     .enumerate()
                     .map(|(i, (key, _))| (Kind::Preproc, preproc_key_digest(key), i)),
             )
-            .filter(|(kind, digest, _)| !known.contains(&(*kind, *digest)))
             .collect();
+        {
+            let known = self.known_keys()?;
+            todo.retain(|&(kind, digest, _)| !known.keys.contains(&(kind, digest)));
+        }
         todo.sort_unstable();
         todo.dedup_by_key(|(kind, digest, _)| (*kind, *digest));
         if todo.is_empty() {
@@ -407,6 +423,9 @@ impl DiskCache {
             }
             Ok(())
         })?;
+        let mut known = self.known.lock().expect("known-key lock poisoned");
+        known.keys.extend(todo.iter().map(|&(kind, key, _)| (kind, key)));
+        known.segments.insert(dest);
         Ok(stats)
     }
 
@@ -424,16 +443,23 @@ impl DiskCache {
     }
 
     /// The (kind, key digest) of every record some segment frames, read
-    /// from the record headers alone.
-    fn known_keys(&self) -> io::Result<HashSet<(Kind, u64)>> {
-        let mut known = HashSet::new();
+    /// from the record headers alone. Segments already read are not read
+    /// again: a segment is immutable once named, and the only rewrite,
+    /// quarantine, removes records, which at worst leaves a key here that
+    /// this handle then never writes again.
+    fn known_keys(&self) -> io::Result<std::sync::MutexGuard<'_, KnownKeys>> {
+        let mut known = self.known.lock().expect("known-key lock poisoned");
         for path in self.segments()? {
+            if known.segments.contains(&path) {
+                continue;
+            }
             let Ok(mut seg) = Segment::open(&path) else {
                 continue;
             };
             while let Next::Record(header, _) = seg.next(false) {
-                known.insert((header.kind, header.key));
+                known.keys.insert((header.kind, header.key));
             }
+            known.segments.insert(path);
         }
         Ok(known)
     }
@@ -1797,6 +1823,27 @@ mod tests {
     }
 
     #[test]
+    fn a_handle_sees_segments_written_after_its_last_store() {
+        let dir = tempdir("incremental");
+        let (ours, theirs) = (DiskCache::open(&dir).unwrap(), DiskCache::open(&dir).unwrap());
+        let (configs, preproc) = (ConfigCache::new(), PreprocCache::new());
+        let (first, both) = (ObjectCache::new(), ObjectCache::new());
+        for (i, (key, obj)) in sample_objects(20).into_iter().enumerate() {
+            let obj = Arc::new(obj);
+            if i < 10 {
+                first.insert(key.clone(), Arc::clone(&obj));
+            }
+            both.insert(key, obj);
+        }
+        assert_eq!(ours.store(&first, &configs, &preproc).unwrap().objects_stored, 10);
+        // Another handle writes the other ten; ours must not write them again.
+        assert_eq!(theirs.store(&both, &configs, &preproc).unwrap().objects_stored, 10);
+        assert_eq!(ours.store(&both, &configs, &preproc).unwrap().objects_stored, 0);
+        assert_eq!(segments(&dir).len(), 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn concurrent_stores_into_one_dir_load_as_the_union() {
         let (left, right) = (ObjectCache::new(), ObjectCache::new());
         // Overlapping halves: both caches hold keys 60..140.
@@ -2193,7 +2240,11 @@ mod tests {
     }
 
     fn segments(root: &Path) -> Vec<PathBuf> {
-        DiskCache { root: root.to_path_buf() }.segments().unwrap()
+        let disk = DiskCache {
+            root: root.to_path_buf(),
+            known: Arc::default(),
+        };
+        disk.segments().unwrap()
     }
 
     fn only_segment(root: &Path) -> PathBuf {

@@ -8,9 +8,10 @@
 //!
 //! Runs until a client sends `--shutdown`; queued evaluations are
 //! drained (each still gets its response) before the process exits.
-//! With `--cache-dir` the persistent tier is loaded at startup and
-//! persisted at shutdown — the same on-disk format `jmake-eval
-//! --cache-dir` uses, so the two can share a directory.
+//! With `--cache-dir` the persistent tier is loaded at startup and each
+//! request's new entries are persisted as it is answered — the same
+//! on-disk format `jmake-eval --cache-dir` uses, so the two can share a
+//! directory.
 //!
 //! Client mode:
 //!
