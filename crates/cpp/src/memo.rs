@@ -73,7 +73,7 @@ pub enum MacroEvent {
 
 /// Everything processing one header (and its nested includes) did to the
 /// preprocessor state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncludeEffect {
     /// Output text appended (starts with the header's line marker).
     pub chunk: String,

@@ -128,6 +128,16 @@ pub enum FaultSite {
 }
 
 impl FaultSite {
+    /// Every site.
+    pub const ALL: [FaultSite; 6] = [
+        FaultSite::Checkout,
+        FaultSite::Show,
+        FaultSite::ConfigSolve,
+        FaultSite::MakeI,
+        FaultSite::MakeO,
+        FaultSite::CacheLookup,
+    ];
+
     /// Stable lower-case name (used in traces and error messages).
     pub fn name(self) -> &'static str {
         match self {

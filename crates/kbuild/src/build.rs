@@ -328,7 +328,7 @@ impl Error for BuildError {}
 pub type IResults = Vec<(String, Result<IFile, BuildError>)>;
 
 /// The result of `make file.i`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IFile {
     /// Source path.
     pub path: String,

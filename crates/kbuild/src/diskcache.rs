@@ -1,27 +1,22 @@
 //! Persistent, digest-verified on-disk tier behind [`ConfigCache`],
 //! [`ObjectCache`], and [`PreprocCache`].
 //!
-//! All three in-memory caches are content-addressed and immutable per
-//! key, so persisting them is safe by construction: an entry loaded from
-//! a previous run answers a lookup if and only if the *key* — which pins
-//! everything the outcome depends on — matches, and a warm hit charges
-//! the virtual clock exactly what a cold miss would, keeping reports
-//! byte-identical cold vs. warm (the CI gate diffs them).
+//! All three caches are content-addressed and immutable per key, so an
+//! entry loaded from a previous run answers a lookup if and only if its
+//! *key* — which pins everything the outcome depends on — matches, and a
+//! warm hit charges the virtual clock exactly what a cold miss would:
+//! reports stay byte-identical cold vs. warm (the CI gate diffs them).
 //!
 //! What the disk can do that memory cannot is rot. Every record carries
-//! an FNV-1a digest of its payload, written at store time and re-verified
-//! on load; a mismatch (flipped bytes), a length that runs past the end
-//! of its segment (truncation, torn write), an unparseable header, or a
-//! payload that does not decode to the key its header names routes the
-//! record through the same quarantine discipline the in-memory machinery
-//! applies to corrupted shards: its bytes are copied to
-//! `<root>/quarantine/`, its segment is rewritten without it, it is never
-//! served, and it is counted in [`DiskTierStats`] and — when fault
-//! injection is active — in the shared
-//! [`FaultStats`](jmake_faults::FaultStats). The `jmake-faults` layer can
-//! also corrupt disk loads deterministically ([`FaultSite::CacheLookup`]
-//! with [`FaultKind::Corrupt`], keyed by the record's 16-hex key digest),
-//! exercising the same detection path end-to-end.
+//! an FNV-1a digest of its payload, re-verified on load. A mismatch, a
+//! length that runs past the end of its segment (truncation, torn
+//! write), an unparseable header, or a payload that does not decode to
+//! the key its header names quarantines the record: its bytes are copied
+//! to `<root>/quarantine/`, its segment is rewritten without it, it is
+//! never served, and it is counted in [`DiskTierStats`] and, under fault
+//! injection, in [`FaultStats`](jmake_faults::FaultStats). The fault
+//! layer can corrupt loads deterministically ([`FaultSite::CacheLookup`]
+//! with [`FaultKind::Corrupt`], keyed by the record's 16-hex key digest).
 //!
 //! ## On-disk layout
 //!
@@ -52,10 +47,13 @@
 //! (kind, key digest) and the segment is named by a digest of that key
 //! list, so the same cache contents always give the same file. The
 //! payload is a deterministic sequence of length-prefixed fields (no
-//! escaping, so arbitrary file text round-trips byte-exactly).
+//! escaping, so arbitrary file text round-trips byte-exactly), written
+//! and read by one `Codec` per type. Decoding is canonical: it accepts
+//! only the bytes encoding writes, so a payload that decodes re-encodes
+//! to itself.
 
-use crate::arch::ArchRegistry;
-use crate::build::{BuildConfig, BuildError, ConfigKind, IFile};
+use crate::arch::{Arch, ArchRegistry};
+use crate::build::{BuildConfig, BuildError, ConfigKey, ConfigKind, IFile};
 use crate::cache::ConfigCache;
 use crate::hash::{ContentHash, Fnv};
 use crate::objcache::{CachedObj, ObjKind, ObjectCache, ObjectKey};
@@ -127,11 +125,18 @@ enum Kind {
 }
 
 impl Kind {
+    const ALL: [Kind; 3] = [Kind::Object, Kind::Config, Kind::Preproc];
+
     fn tag(self) -> &'static str {
+        ["object", "config", "preproc"][self as usize]
+    }
+
+    /// This kind's (loaded, stored) counters.
+    fn counters(self, s: &mut DiskTierStats) -> (&mut u64, &mut u64) {
         match self {
-            Kind::Object => "object",
-            Kind::Config => "config",
-            Kind::Preproc => "preproc",
+            Kind::Object => (&mut s.objects_loaded, &mut s.objects_stored),
+            Kind::Config => (&mut s.configs_loaded, &mut s.configs_stored),
+            Kind::Preproc => (&mut s.preproc_loaded, &mut s.preproc_stored),
         }
     }
 }
@@ -147,36 +152,26 @@ struct Header {
 
 impl Header {
     fn render(&self) -> String {
-        format!(
-            "{} {:016x} {:016x} {:016x}\n",
-            self.kind.tag(),
-            self.key,
-            self.len,
-            self.digest
-        )
+        let Header { kind, key, len, digest } = self;
+        format!("{} {key:016x} {len:016x} {digest:016x}\n", kind.tag())
     }
 
     fn parse(line: &[u8]) -> Option<Header> {
         let line = std::str::from_utf8(line).ok()?.strip_suffix('\n')?;
         let mut fields = line.split(' ');
         let tag = fields.next()?;
-        let kind = [Kind::Object, Kind::Config, Kind::Preproc]
-            .into_iter()
-            .find(|k| k.tag() == tag)?;
-        let mut hex = || {
-            fields
-                .next()
-                .filter(|f| f.len() == 16 && f.bytes().all(|b| b.is_ascii_hexdigit()))
-                .and_then(|f| u64::from_str_radix(f, 16).ok())
-        };
-        let header = Header {
-            kind,
-            key: hex()?,
-            len: hex()?,
-            digest: hex()?,
-        };
+        let kind = Kind::ALL.into_iter().find(|k| k.tag() == tag)?;
+        let mut hex = || fields.next().and_then(parse_hex16);
+        let header = Header { kind, key: hex()?, len: hex()?, digest: hex()? };
         fields.next().is_none().then_some(header)
     }
+}
+
+/// Exactly 16 lowercase hex digits — the one spelling [`Enc::u64`] and
+/// [`Header::render`] write.
+fn parse_hex16(s: &str) -> Option<u64> {
+    let canonical = s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    canonical.then(|| u64::from_str_radix(s, 16).ok()).flatten()
 }
 
 /// One step of a segment scan.
@@ -222,14 +217,8 @@ impl Segment {
             return Next::End;
         }
         let mut line = Vec::new();
-        if (&mut self.reader)
-            .take(MAX_HEADER)
-            .read_until(b'\n', &mut line)
-            .is_err()
-        {
-            return Next::Unframed;
-        }
-        let Some(header) = Header::parse(&line) else {
+        let read = (&mut self.reader).take(MAX_HEADER).read_until(b'\n', &mut line);
+        let Some(header) = read.ok().and_then(|_| Header::parse(&line)) else {
             return Next::Unframed;
         };
         // Bound the length by the file before allocating for it.
@@ -271,16 +260,17 @@ struct KnownKeys {
     keys: HashSet<(Kind, u64)>,
 }
 
+/// The three in-memory caches a load fills.
+type Caches<'a> = (&'a ObjectCache, &'a ConfigCache, &'a PreprocCache);
+
 impl DiskCache {
     /// Open (creating if needed) the cache rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let root = root.into();
         std::fs::create_dir_all(root.join("segments"))?;
         std::fs::create_dir_all(root.join("quarantine"))?;
-        Ok(DiskCache {
-            root,
-            known: Arc::default(),
-        })
+        let known = Arc::default();
+        Ok(DiskCache { root, known })
     }
 
     /// The cache's root directory.
@@ -301,7 +291,7 @@ impl DiskCache {
         faults: &Faults,
     ) -> io::Result<DiskTierStats> {
         let mut stats = DiskTierStats::default();
-        let registry = ArchRegistry::new();
+        let caches = (objects, configs, preproc);
         for path in self.segments()? {
             // A segment that vanished since the listing was removed by a
             // concurrent quarantine.
@@ -319,29 +309,20 @@ impl DiskCache {
                         break;
                     }
                 };
-                match admit(&header, &payload, &registry, faults) {
-                    Ok(Entry::Object(key, obj)) => {
-                        objects.insert(key, Arc::new(obj));
-                        stats.objects_loaded += 1;
-                    }
-                    Ok(Entry::Config(fingerprint, content_fp, cfg)) => {
-                        let key = cfg.key().clone();
-                        configs.insert(fingerprint, &key, content_fp, Arc::new(cfg));
-                        stats.configs_loaded += 1;
-                    }
-                    Ok(Entry::Preproc(key, effect)) => {
-                        preproc.insert(key, Arc::new(effect));
-                        stats.preproc_loaded += 1;
-                    }
+                let admitted = match header.kind {
+                    Kind::Object => admit::<ObjectRecord>(&header, &payload, faults, &caches),
+                    Kind::Config => admit::<ConfigRecord>(&header, &payload, faults, &caches),
+                    Kind::Preproc => admit::<PreprocRecord>(&header, &payload, faults, &caches),
+                };
+                match admitted {
+                    Ok(()) => *header.kind.counters(&mut stats).0 += 1,
                     Err(_) => bad.push(start..seg.pos),
                 }
             }
             if !bad.is_empty() {
                 stats.entries_quarantined += bad.len() as u64;
                 if let Some(fault_stats) = faults.stats() {
-                    fault_stats
-                        .corruptions_detected
-                        .fetch_add(bad.len() as u64, Ordering::Relaxed);
+                    fault_stats.corruptions_detected.fetch_add(bad.len() as u64, Ordering::Relaxed);
                 }
                 self.quarantine(&path, seg.len, &bad);
             }
@@ -360,31 +341,16 @@ impl DiskCache {
         preproc: &PreprocCache,
     ) -> io::Result<DiskTierStats> {
         let mut stats = DiskTierStats::default();
-        let objects = objects.snapshot();
-        let configs = configs.snapshot();
-        let preproc = preproc.snapshot();
-        // (kind, key digest, snapshot index) of every record to write.
-        let mut todo: Vec<(Kind, u64, usize)> = objects
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (Kind::Object, object_key_digest(key), i))
-            .chain(configs.iter().enumerate().map(|(i, ((fp, key, content_fp), _))| {
-                let digest = config_key_digest(*fp, key.arch(), key.kind_key(), *content_fp);
-                (Kind::Config, digest, i)
-            }))
-            .chain(
-                preproc
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (key, _))| (Kind::Preproc, preproc_key_digest(key), i)),
-            )
-            .collect();
+        let (objects, configs, preproc) =
+            (objects.snapshot(), configs.snapshot(), preproc.snapshot());
+        let mut todo: Vec<(Kind, u64, &dyn Codec)> =
+            pending(&objects).chain(pending(&configs)).chain(pending(&preproc)).collect();
         {
             let known = self.known_keys()?;
             todo.retain(|&(kind, digest, _)| !known.keys.contains(&(kind, digest)));
         }
-        todo.sort_unstable();
-        todo.dedup_by_key(|(kind, digest, _)| (*kind, *digest));
+        todo.sort_unstable_by_key(|&(kind, digest, _)| (kind, digest));
+        todo.dedup_by_key(|&mut (kind, digest, _)| (kind, digest));
         if todo.is_empty() {
             return Ok(stats);
         }
@@ -398,28 +364,17 @@ impl DiskCache {
         let dest = self.root.join("segments").join(format!("{:016x}.seg", name.finish()));
         write_atomically(&dest, |out| {
             out.write_all(MAGIC)?;
-            for &(kind, key, i) in &todo {
-                let payload = match kind {
-                    Kind::Object => encode_object_entry(&objects[i].0, &objects[i].1),
-                    Kind::Config => {
-                        let ((fp, _, content_fp), cfg) = &configs[i];
-                        encode_config_entry(*fp, *content_fp, cfg)
-                    }
-                    Kind::Preproc => encode_preproc_entry(&preproc[i].0, &preproc[i].1),
-                };
+            for &(kind, key, record) in &todo {
+                let payload = encode_payload(record);
                 let header = Header {
                     kind,
                     key,
                     len: payload.len() as u64,
-                    digest: payload_digest(&payload),
+                    digest: fnv(&[&payload]),
                 };
                 out.write_all(header.render().as_bytes())?;
                 out.write_all(&payload)?;
-                match kind {
-                    Kind::Object => stats.objects_stored += 1,
-                    Kind::Config => stats.configs_stored += 1,
-                    Kind::Preproc => stats.preproc_stored += 1,
-                }
+                *kind.counters(&mut stats).1 += 1;
             }
             Ok(())
         })?;
@@ -505,11 +460,8 @@ fn write_atomically(
     dest: &Path,
     fill: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> io::Result<()> {
-    let tmp = dest.with_extension(format!(
-        "{}-{}.tmp",
-        std::process::id(),
-        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
-    ));
+    let unique = NEXT_TMP.fetch_add(1, Ordering::Relaxed);
+    let tmp = dest.with_extension(format!("{}-{unique}.tmp", std::process::id()));
     let written = File::create(&tmp)
         .and_then(|file| {
             let mut out = BufWriter::new(file);
@@ -523,23 +475,22 @@ fn write_atomically(
     written
 }
 
-/// One decoded record, ready to insert into its cache.
-enum Entry {
-    Object(ObjectKey, CachedObj),
-    Config(u64, u64, BuildConfig),
-    Preproc(IncludeKey, IncludeEffect),
+/// Every record of one cache snapshot as (kind, key digest, codec).
+fn pending<R: Record>(records: &[R]) -> impl Iterator<Item = (Kind, u64, &dyn Codec)> {
+    records.iter().map(|r| (R::KIND, r.key_digest(), r as &dyn Codec))
 }
 
 /// Verify one framed record — payload digest (which the fault plan may
-/// corrupt, simulating media rot), complete decoding, and a decoded key
-/// that hashes to the key digest its header names.
-fn admit(
+/// corrupt, simulating media rot), complete decoding as an `R`, and a
+/// decoded key that hashes to the key digest its header names — and
+/// insert it into its cache.
+fn admit<R: Record>(
     header: &Header,
     payload: &[u8],
-    registry: &ArchRegistry,
     faults: &Faults,
-) -> Result<Entry, String> {
-    let mut served_digest = payload_digest(payload);
+    caches: &Caches,
+) -> Result<(), String> {
+    let mut served_digest = fnv(&[payload]);
     if faults.is_enabled() {
         let identity = format!("{:016x}", header.key);
         if faults.decide(FaultSite::CacheLookup, &identity, 0) == Some(FaultKind::Corrupt) {
@@ -549,76 +500,82 @@ fn admit(
     if served_digest != header.digest {
         return Err("digest mismatch".to_string());
     }
-    let (entry, key) = match header.kind {
-        Kind::Object => {
-            let (key, obj) = decode_object_entry(payload, registry)?;
-            let digest = object_key_digest(&key);
-            (Entry::Object(key, obj), digest)
-        }
-        Kind::Config => {
-            let (fp, content_fp, cfg) = decode_config_entry(payload, registry)?;
-            let digest = config_key_digest(fp, cfg.key().arch(), cfg.key().kind_key(), content_fp);
-            (Entry::Config(fp, content_fp, cfg), digest)
-        }
-        Kind::Preproc => {
-            let (key, effect) = decode_preproc_entry(payload)?;
-            let digest = preproc_key_digest(&key);
-            (Entry::Preproc(key, effect), digest)
-        }
-    };
-    if key != header.key {
+    let record: R = decode_payload(payload)?;
+    if record.key_digest() != header.key {
         return Err("key digest mismatch".to_string());
     }
-    Ok(entry)
+    record.insert(caches);
+    Ok(())
 }
 
-/// FNV-1a digest of a record payload.
-fn payload_digest(payload: &[u8]) -> u64 {
+/// FNV-1a digest of `parts` laid end to end.
+fn fnv(parts: &[&[u8]]) -> u64 {
     let mut h = Fnv::new();
-    h.write(payload);
+    parts.iter().for_each(|part| h.write(part));
     h.finish()
 }
 
-/// Stable key digest for one object key.
-fn object_key_digest(key: &ObjectKey) -> u64 {
-    let mut h = Fnv::new();
-    h.write(&key.blob.hi().to_le_bytes());
-    h.write(&key.blob.lo().to_le_bytes());
-    h.write(key.path.as_bytes());
-    h.write(&key.include_fp.to_le_bytes());
-    h.write(&key.env_fp.to_le_bytes());
-    h.write(&[u8::from(key.module)]);
-    h.write(key.arch.as_bytes());
-    h.write(if key.kind == ObjKind::I { b"I" } else { b"O" });
-    h.finish()
+// Records: the three kinds of cache entry a segment holds.
+
+/// One cache entry as a segment record: its kind, a stable digest of its
+/// key (the header's key field), and the cache it loads into.
+trait Record: Codec {
+    const KIND: Kind;
+    fn key_digest(&self) -> u64;
+    fn insert(self, caches: &Caches);
 }
 
-/// Stable key digest for one preprocess-memo key.
-fn preproc_key_digest(key: &IncludeKey) -> u64 {
-    let mut h = Fnv::new();
-    h.write(key.path.as_bytes());
-    h.write(&[0]);
-    h.write(&key.closure_fp.to_le_bytes());
-    h.write(&key.macro_fp.to_le_bytes());
-    h.write(&key.pragma_fp.to_le_bytes());
-    h.write(&key.depth.to_le_bytes());
-    h.finish()
+type ObjectRecord = (ObjectKey, Arc<CachedObj>);
+type ConfigRecord = ((u64, ConfigKey, u64), Arc<BuildConfig>);
+type PreprocRecord = (IncludeKey, Arc<IncludeEffect>);
+
+impl Record for ObjectRecord {
+    const KIND: Kind = Kind::Object;
+
+    fn key_digest(&self) -> u64 {
+        let k = &self.0;
+        let (hi, lo) = (k.blob.hi().to_le_bytes(), k.blob.lo().to_le_bytes());
+        let (include_fp, env_fp) = (k.include_fp.to_le_bytes(), k.env_fp.to_le_bytes());
+        let kind: &[u8] = if k.kind == ObjKind::I { b"I" } else { b"O" };
+        let module = [u8::from(k.module)];
+        fnv(&[&hi, &lo, k.path.as_bytes(), &include_fp, &env_fp, &module, k.arch.as_bytes(), kind])
+    }
+
+    fn insert(self, caches: &Caches) {
+        caches.0.insert(self.0, self.1);
+    }
 }
 
-/// Stable key digest for one config-cache key.
-fn config_key_digest(fingerprint: u64, arch: &str, kind_key: &str, content_fp: u64) -> u64 {
-    let mut h = Fnv::new();
-    h.write(&fingerprint.to_le_bytes());
-    h.write(arch.as_bytes());
-    h.write(&[0]);
-    h.write(kind_key.as_bytes());
-    h.write(&content_fp.to_le_bytes());
-    h.finish()
+impl Record for ConfigRecord {
+    const KIND: Kind = Kind::Config;
+
+    fn key_digest(&self) -> u64 {
+        let (fingerprint, key, content_fp) = &self.0;
+        let (fp, content_fp) = (fingerprint.to_le_bytes(), content_fp.to_le_bytes());
+        fnv(&[&fp, key.arch().as_bytes(), &[0], key.kind_key().as_bytes(), &content_fp])
+    }
+
+    fn insert(self, caches: &Caches) {
+        let ((fingerprint, key, content_fp), cfg) = self;
+        caches.1.insert(fingerprint, &key, content_fp, cfg);
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Payload encoding: deterministic length-prefixed fields.
-// ---------------------------------------------------------------------------
+impl Record for PreprocRecord {
+    const KIND: Kind = Kind::Preproc;
+
+    fn key_digest(&self) -> u64 {
+        let k = &self.0;
+        let fps = [k.closure_fp, k.macro_fp, k.pragma_fp].map(u64::to_le_bytes);
+        fnv(&[k.path.as_bytes(), &[0], &fps[0], &fps[1], &fps[2], &k.depth.to_le_bytes()])
+    }
+
+    fn insert(self, caches: &Caches) {
+        caches.2.insert(self.0, self.1);
+    }
+}
+
+// Payload codec: deterministic, canonical, length-prefixed fields.
 
 /// Payload writer. Strings are length-prefixed raw bytes (no escaping),
 /// numbers are fixed-width hex lines, so encoding is deterministic and
@@ -628,16 +585,10 @@ struct Enc {
 }
 
 impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
-    }
-
+    /// Exactly 16 lowercase hex digits and a newline.
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(format!("{v:016x}\n").as_bytes());
-    }
-
-    fn boolean(&mut self, v: bool) {
-        self.buf.push(if v { b'y' } else { b'n' });
+        self.buf
+            .extend((0..16).rev().map(|i| b"0123456789abcdef"[(v >> (4 * i)) as usize & 0xf]));
         self.buf.push(b'\n');
     }
 
@@ -648,42 +599,26 @@ impl Enc {
         self.buf.push(b'\n');
     }
 
+    /// Decimal byte length (no sign, no leading zero), then the bytes.
     fn str(&mut self, s: &str) {
-        self.buf
-            .extend_from_slice(format!("{}\n", s.len()).as_bytes());
+        let _ = writeln!(self.buf, "{}", s.len());
         self.buf.extend_from_slice(s.as_bytes());
         self.buf.push(b'\n');
     }
-
-    fn opt_str(&mut self, s: Option<&str>) {
-        match s {
-            Some(s) => {
-                self.tag("some");
-                self.str(s);
-            }
-            None => self.tag("none"),
-        }
-    }
 }
 
-/// Payload reader mirroring [`Enc`]. Every error is a short reason string
-/// — the caller quarantines the entry, it never panics.
+/// Payload reader accepting exactly what [`Enc`] writes. Every error is
+/// a short reason string — the caller quarantines the entry, it never
+/// panics.
 struct Dec<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, pos: 0 }
-    }
-
     fn line(&mut self) -> Result<&'a str, String> {
         let rest = &self.bytes[self.pos..];
-        let nl = rest
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("truncated payload")?;
+        let nl = rest.iter().position(|&b| b == b'\n').ok_or("truncated payload")?;
         let line = std::str::from_utf8(&rest[..nl]).map_err(|_| "non-utf8 field")?;
         self.pos += nl + 1;
         Ok(line)
@@ -691,30 +626,14 @@ impl<'a> Dec<'a> {
 
     fn u64(&mut self) -> Result<u64, String> {
         let line = self.line()?;
-        u64::from_str_radix(line, 16).map_err(|_| format!("bad number {line:?}"))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        u32::try_from(self.u64()?).map_err(|_| "number out of u32 range".to_string())
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        match self.line()? {
-            "y" => Ok(true),
-            "n" => Ok(false),
-            other => Err(format!("bad bool {other:?}")),
-        }
-    }
-
-    fn tag(&mut self) -> Result<&'a str, String> {
-        self.line()
+        parse_hex16(line).ok_or_else(|| format!("bad number {line:?}"))
     }
 
     fn str(&mut self) -> Result<String, String> {
-        let len: usize = self
-            .line()?
-            .parse()
-            .map_err(|_| "bad string length".to_string())?;
+        let digits = self.line()?;
+        let canonical = digits.bytes().all(|b| b.is_ascii_digit())
+            && (digits == "0" || !digits.starts_with('0'));
+        let len: usize = digits.parse().ok().filter(|_| canonical).ok_or("bad string length")?;
         let rest = &self.bytes[self.pos..];
         // The length comes from disk: `len + 1` must not overflow.
         if len.checked_add(1).is_none_or(|end| rest.len() < end) {
@@ -727,715 +646,451 @@ impl<'a> Dec<'a> {
         self.pos += len + 1;
         Ok(s.to_string())
     }
-
-    fn opt_str(&mut self) -> Result<Option<String>, String> {
-        match self.tag()? {
-            "some" => Ok(Some(self.str()?)),
-            "none" => Ok(None),
-            other => Err(format!("bad option tag {other:?}")),
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Object entries.
-// ---------------------------------------------------------------------------
-
-fn encode_object_entry(key: &ObjectKey, obj: &CachedObj) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(key.blob.hi());
-    e.u64(key.blob.lo());
-    e.str(&key.path);
-    e.u64(key.include_fp);
-    e.u64(key.env_fp);
-    e.boolean(key.module);
-    e.str(key.arch);
-    match obj {
-        CachedObj::I { text_len, result } => {
-            e.tag("I");
-            e.u64(*text_len);
-            match result {
-                Ok(ifile) => {
-                    e.tag("ok");
-                    e.str(&ifile.path);
-                    e.str(&ifile.text);
-                    // HashSet iteration order is nondeterministic; sort so
-                    // equal entries encode to equal bytes.
-                    let mut macros: Vec<&str> =
-                        ifile.expanded_macros.iter().map(String::as_str).collect();
-                    macros.sort_unstable();
-                    e.u64(macros.len() as u64);
-                    for m in macros {
-                        e.str(m);
-                    }
-                    e.u64(ifile.includes.len() as u64);
-                    for inc in &ifile.includes {
-                        e.str(inc);
-                    }
-                }
-                Err(msg) => {
-                    e.tag("err");
-                    e.str(msg);
-                }
-            }
-        }
-        CachedObj::O { text_len, result } => {
-            e.tag("O");
-            e.u64(*text_len);
-            match result {
-                Ok(()) => e.tag("ok"),
-                Err(err) => {
-                    e.tag("err");
-                    encode_build_error(&mut e, err);
-                }
-            }
-        }
-    }
+/// Encode one value as a whole record payload.
+fn encode_payload(value: &dyn Codec) -> Vec<u8> {
+    let mut e = Enc { buf: Vec::new() };
+    value.encode(&mut e);
     e.buf
 }
 
-fn decode_object_entry(
-    payload: &[u8],
-    registry: &ArchRegistry,
-) -> Result<(ObjectKey, CachedObj), String> {
-    let mut d = Dec::new(payload);
-    let blob = ContentHash::from_parts(d.u64()?, d.u64()?);
-    let path: Arc<str> = Arc::from(d.str()?.as_str());
-    let include_fp = d.u64()?;
-    let env_fp = d.u64()?;
-    let module = d.boolean()?;
-    let arch_name = d.str()?;
-    // Re-intern the architecture: the key wants the registry's 'static
-    // name, and an arch this build does not know cannot be served.
-    let arch = registry
-        .get(&arch_name)
-        .ok_or_else(|| format!("unknown arch {arch_name:?}"))?
-        .name;
-    let kind_tag = d.tag()?.to_string();
-    let (kind, obj) = match kind_tag.as_str() {
-        "I" => {
-            let text_len = d.u64()?;
-            let result = match d.tag()? {
-                "ok" => {
-                    let ipath = d.str()?;
-                    let text = d.str()?;
-                    let n_macros = d.u64()?;
-                    let mut expanded_macros = HashSet::new();
-                    for _ in 0..n_macros {
-                        expanded_macros.insert(d.str()?);
-                    }
-                    let n_includes = d.u64()?;
-                    let mut includes = Vec::new();
-                    for _ in 0..n_includes {
-                        includes.push(d.str()?);
-                    }
-                    Ok(IFile {
-                        path: ipath,
-                        text,
-                        expanded_macros,
-                        includes,
-                    })
-                }
-                "err" => Err(d.str()?),
-                other => return Err(format!("bad result tag {other:?}")),
-            };
-            (ObjKind::I, CachedObj::I { text_len, result })
-        }
-        "O" => {
-            let text_len = d.u64()?;
-            let result = match d.tag()? {
-                "ok" => Ok(()),
-                "err" => Err(decode_build_error(&mut d)?),
-                other => return Err(format!("bad result tag {other:?}")),
-            };
-            (ObjKind::O, CachedObj::O { text_len, result })
-        }
-        other => return Err(format!("bad kind tag {other:?}")),
-    };
-    if !d.at_end() {
+/// Decode a whole record payload as one `T`; bytes left over are an
+/// error.
+fn decode_payload<T: Codec>(payload: &[u8]) -> Result<T, String> {
+    let mut d = Dec { bytes: payload, pos: 0 };
+    let value = T::decode(&mut d)?;
+    if d.pos != payload.len() {
         return Err("trailing bytes".to_string());
     }
-    Ok((
-        ObjectKey {
-            blob,
-            path,
-            include_fp,
-            env_fp,
-            module,
-            arch,
-            kind,
-        },
-        obj,
-    ))
+    Ok(value)
 }
 
-fn encode_build_error(e: &mut Enc, err: &BuildError) {
-    match err {
-        BuildError::UnknownArch(a) => {
-            e.tag("unknown_arch");
-            e.str(a);
-        }
-        BuildError::CrossCompilerMissing(a) => {
-            e.tag("cross_compiler_missing");
-            e.str(a);
-        }
-        BuildError::NoKconfig(a) => {
-            e.tag("no_kconfig");
-            e.str(a);
-        }
-        BuildError::KconfigParse(m) => {
-            e.tag("kconfig_parse");
-            e.str(m);
-        }
-        BuildError::MissingFile(p) => {
-            e.tag("missing_file");
-            e.str(p);
-        }
-        BuildError::NoMakefile(p) => {
-            e.tag("no_makefile");
-            e.str(p);
-        }
-        BuildError::NotEnabled(p) => {
-            e.tag("not_enabled");
-            e.str(p);
-        }
-        BuildError::SetupCompilationFailed(p) => {
-            e.tag("setup_compilation_failed");
-            e.str(p);
-        }
-        BuildError::PreprocessFailed { file, first_error } => {
-            e.tag("preprocess_failed");
-            e.str(file);
-            e.str(first_error);
-        }
-        BuildError::FrontEndRejected { file, error } => {
-            e.tag("front_end_rejected");
-            e.str(file);
-            encode_syntax_error(e, error);
-        }
-        BuildError::RetriesExhausted { op, attempts } => {
-            e.tag("retries_exhausted");
-            e.str(op);
-            e.u64(u64::from(*attempts));
-        }
-    }
+/// A value's payload format: `encode` writes it, `decode` reads back
+/// exactly those bytes and nothing else.
+trait Codec {
+    fn encode(&self, e: &mut Enc);
+    fn decode(d: &mut Dec) -> Result<Self, String>
+    where
+        Self: Sized;
 }
 
-fn decode_build_error(d: &mut Dec) -> Result<BuildError, String> {
-    Ok(match d.tag()? {
-        "unknown_arch" => BuildError::UnknownArch(d.str()?),
-        "cross_compiler_missing" => BuildError::CrossCompilerMissing(d.str()?),
-        "no_kconfig" => BuildError::NoKconfig(d.str()?),
-        "kconfig_parse" => BuildError::KconfigParse(d.str()?),
-        "missing_file" => BuildError::MissingFile(d.str()?),
-        "no_makefile" => BuildError::NoMakefile(d.str()?),
-        "not_enabled" => BuildError::NotEnabled(d.str()?),
-        "setup_compilation_failed" => BuildError::SetupCompilationFailed(d.str()?),
-        "preprocess_failed" => BuildError::PreprocessFailed {
-            file: d.str()?,
-            first_error: d.str()?,
-        },
-        "front_end_rejected" => BuildError::FrontEndRejected {
-            file: d.str()?,
-            error: decode_syntax_error(d)?,
-        },
-        "retries_exhausted" => BuildError::RetriesExhausted {
-            op: intern_fault_op(&d.str()?)?,
-            attempts: d.u32()?,
-        },
-        other => return Err(format!("bad error tag {other:?}")),
-    })
-}
-
-/// Map a serialized retry-site name back to the `'static` string the
-/// fault layer uses. The set is closed — an unknown name means a corrupt
-/// or incompatible entry.
-fn intern_fault_op(name: &str) -> Result<&'static str, String> {
-    for site in [
-        FaultSite::Checkout,
-        FaultSite::Show,
-        FaultSite::ConfigSolve,
-        FaultSite::MakeI,
-        FaultSite::MakeO,
-        FaultSite::CacheLookup,
-    ] {
-        if site.name() == name {
-            return Ok(site.name());
-        }
-    }
-    Err(format!("unknown fault op {name:?}"))
-}
-
-fn encode_syntax_error(e: &mut Enc, err: &SyntaxError) {
-    match err {
-        SyntaxError::InvalidCharacter { ch, line } => {
-            e.tag("invalid_character");
-            e.u64(u64::from(*ch as u32));
-            e.u64(u64::from(*line));
-        }
-        SyntaxError::UnbalancedDelimiter { ch, line } => {
-            e.tag("unbalanced_delimiter");
-            e.u64(u64::from(*ch as u32));
-            e.u64(u64::from(*line));
-        }
-        SyntaxError::UnterminatedLiteral { line } => {
-            e.tag("unterminated_literal");
-            e.u64(u64::from(*line));
-        }
-        SyntaxError::EmptyTranslationUnit => e.tag("empty_translation_unit"),
-    }
-}
-
-fn decode_syntax_error(d: &mut Dec) -> Result<SyntaxError, String> {
-    let ch_of = |v: u32| char::from_u32(v).ok_or_else(|| format!("bad char {v:#x}"));
-    Ok(match d.tag()? {
-        "invalid_character" => SyntaxError::InvalidCharacter {
-            ch: ch_of(d.u32()?)?,
-            line: d.u32()?,
-        },
-        "unbalanced_delimiter" => SyntaxError::UnbalancedDelimiter {
-            ch: ch_of(d.u32()?)?,
-            line: d.u32()?,
-        },
-        "unterminated_literal" => SyntaxError::UnterminatedLiteral { line: d.u32()? },
-        "empty_translation_unit" => SyntaxError::EmptyTranslationUnit,
-        other => return Err(format!("bad syntax-error tag {other:?}")),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Preproc entries: recorded header-inclusion effects.
-// ---------------------------------------------------------------------------
-
-fn encode_preproc_entry(key: &IncludeKey, effect: &IncludeEffect) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.str(&key.path);
-    e.u64(key.closure_fp);
-    e.u64(key.macro_fp);
-    e.u64(key.pragma_fp);
-    e.u64(u64::from(key.depth));
-    e.str(&effect.chunk);
-    encode_opt_marker(&mut e, effect.exit_marker.as_ref());
-    e.u64(effect.errors.len() as u64);
-    for err in &effect.errors {
-        encode_cpp_error(&mut e, err);
-    }
-    e.u64(effect.expanded.len() as u64);
-    for name in &effect.expanded {
-        e.str(name);
-    }
-    e.u64(effect.includes.len() as u64);
-    for inc in &effect.includes {
-        e.str(inc);
-    }
-    e.u64(effect.pragma_adds.len() as u64);
-    for p in &effect.pragma_adds {
-        e.str(p);
-    }
-    e.u64(effect.macro_events.len() as u64);
-    for event in &effect.macro_events {
-        match event {
-            MacroEvent::Define(def) => {
-                e.tag("define");
-                encode_macro_def(&mut e, def);
+/// Declare a codec once: a struct as its fields in order, an enum as one
+/// tag per variant followed by that variant's fields (unit variants are
+/// written `V {}`). Both directions expand from the one declaration.
+macro_rules! codec {
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
+        impl Codec for $ty {
+            fn encode(&self, e: &mut Enc) {
+                $(self.$f.encode(e);)*
             }
-            MacroEvent::Undef(name) => {
-                e.tag("undef");
-                e.str(name);
+            fn decode(d: &mut Dec) -> Result<Self, String> {
+                Ok($ty { $($f: Codec::decode(d)?),* })
             }
         }
-    }
-    encode_opt_marker(&mut e, effect.first_flush.as_ref());
-    e.buf
-}
-
-fn decode_preproc_entry(payload: &[u8]) -> Result<(IncludeKey, IncludeEffect), String> {
-    let mut d = Dec::new(payload);
-    let key = IncludeKey {
-        path: d.str()?,
-        closure_fp: d.u64()?,
-        macro_fp: d.u64()?,
-        pragma_fp: d.u64()?,
-        depth: d.u32()?,
     };
-    let chunk = d.str()?;
-    let exit_marker = decode_opt_marker(&mut d)?;
-    let n_errors = d.u64()?;
-    let mut errors = Vec::new();
-    for _ in 0..n_errors {
-        errors.push(decode_cpp_error(&mut d)?);
-    }
-    let strs = |d: &mut Dec| -> Result<Vec<String>, String> {
-        let n = d.u64()?;
-        (0..n).map(|_| d.str()).collect()
-    };
-    let expanded = strs(&mut d)?;
-    let includes = strs(&mut d)?;
-    let pragma_adds = strs(&mut d)?;
-    let n_events = d.u64()?;
-    let mut macro_events = Vec::new();
-    for _ in 0..n_events {
-        macro_events.push(match d.tag()? {
-            "define" => MacroEvent::Define(Arc::new(decode_macro_def(&mut d)?)),
-            "undef" => MacroEvent::Undef(d.str()?),
-            other => return Err(format!("bad macro-event tag {other:?}")),
-        });
-    }
-    let first_flush = decode_opt_marker(&mut d)?;
-    if !d.at_end() {
-        return Err("trailing bytes".to_string());
-    }
-    Ok((
-        key,
-        IncludeEffect {
-            chunk,
-            exit_marker,
-            errors,
-            expanded,
-            includes,
-            pragma_adds,
-            macro_events,
-            first_flush,
-        },
-    ))
-}
-
-/// An optional `(file, line)` output marker.
-fn encode_opt_marker(e: &mut Enc, marker: Option<&(String, u32)>) {
-    match marker {
-        Some((file, line)) => {
-            e.tag("some");
-            e.str(file);
-            e.u64(u64::from(*line));
-        }
-        None => e.tag("none"),
-    }
-}
-
-fn decode_opt_marker(d: &mut Dec) -> Result<Option<(String, u32)>, String> {
-    match d.tag()? {
-        "some" => Ok(Some((d.str()?, d.u32()?))),
-        "none" => Ok(None),
-        other => Err(format!("bad option tag {other:?}")),
-    }
-}
-
-fn encode_macro_def(e: &mut Enc, def: &MacroDef) {
-    e.str(&def.name);
-    match &def.params {
-        None => e.tag("none"),
-        Some(params) => {
-            e.tag("some");
-            e.u64(params.len() as u64);
-            for p in params {
-                e.str(p);
+    (enum $ty:ident $(<$($g:ident),*>)? { $($v:ident $fields:tt = $tag:literal),* $(,)? }) => {
+        impl$(<$($g: Codec),*>)? Codec for $ty$(<$($g),*>)? {
+            fn encode(&self, e: &mut Enc) {
+                match self {
+                    $(variant!($ty::$v $fields) => {
+                        e.tag($tag);
+                        variant!(encode e $fields);
+                    })*
+                }
+            }
+            fn decode(d: &mut Dec) -> Result<Self, String> {
+                Ok(match d.line()? {
+                    $($tag => variant!(decode d $ty::$v $fields),)*
+                    other => return Err(format!("bad {} tag {other:?}", stringify!($ty))),
+                })
             }
         }
-    }
-    e.boolean(def.variadic);
-    e.u64(def.body.len() as u64);
-    for t in &def.body {
-        encode_token(e, t);
-    }
-}
-
-fn decode_macro_def(d: &mut Dec) -> Result<MacroDef, String> {
-    let name = d.str()?;
-    let params = match d.tag()? {
-        "none" => None,
-        "some" => {
-            let n = d.u64()?;
-            Some((0..n).map(|_| d.str()).collect::<Result<Vec<_>, _>>()?)
-        }
-        other => return Err(format!("bad option tag {other:?}")),
     };
-    let variadic = d.boolean()?;
-    let n_body = d.u64()?;
-    let mut body = Vec::new();
-    for _ in 0..n_body {
-        body.push(decode_token(d)?);
-    }
-    Ok(MacroDef {
-        name,
-        params,
-        variadic,
-        body,
-    })
 }
 
-fn encode_token(e: &mut Enc, t: &Token) {
-    match t.kind {
-        TokenKind::Ident => e.tag("id"),
-        TokenKind::Number => e.tag("num"),
-        TokenKind::Str => e.tag("str"),
-        TokenKind::Char => e.tag("chr"),
-        TokenKind::Punct => e.tag("pun"),
-        TokenKind::Other(c) => {
-            e.tag("oth");
-            e.u64(u64::from(c as u32));
-        }
-    }
-    e.str(&t.text);
-    e.boolean(t.space_before);
-    e.u64(u64::from(t.line));
-}
-
-fn decode_token(d: &mut Dec) -> Result<Token, String> {
-    let kind = match d.tag()? {
-        "id" => TokenKind::Ident,
-        "num" => TokenKind::Number,
-        "str" => TokenKind::Str,
-        "chr" => TokenKind::Char,
-        "pun" => TokenKind::Punct,
-        "oth" => {
-            let v = d.u32()?;
-            TokenKind::Other(char::from_u32(v).ok_or_else(|| format!("bad char {v:#x}"))?)
-        }
-        other => return Err(format!("bad token kind {other:?}")),
+/// One variant of a [`codec!`] enum: its pattern (or constructor), the
+/// encoding of its fields, or its decoding.
+macro_rules! variant {
+    ($ty:ident::$v:ident ($($x:ident),*)) => { $ty::$v($($x),*) };
+    ($ty:ident::$v:ident {$($x:ident),*}) => { $ty::$v { $($x),* } };
+    (encode $e:ident ($($x:ident),*)) => { $($x.encode($e);)* };
+    (encode $e:ident {$($x:ident),*}) => { $($x.encode($e);)* };
+    (decode $d:ident $ty:ident::$v:ident ($($x:ident),*)) => {
+        $ty::$v($(variant!(field $d $x)),*)
     };
-    let text = d.str()?;
-    let space_before = d.boolean()?;
-    let line = d.u32()?;
-    Ok(Token {
-        kind,
-        text,
-        space_before,
-        line,
-    })
-}
-
-fn encode_cpp_error(e: &mut Enc, err: &CppError) {
-    e.str(&err.file);
-    e.u64(u64::from(err.line));
-    match &err.kind {
-        CppErrorKind::IncludeNotFound(t) => {
-            e.tag("include_not_found");
-            e.str(t);
-        }
-        CppErrorKind::IncludeDepthExceeded => e.tag("include_depth_exceeded"),
-        CppErrorKind::MalformedDirective(m) => {
-            e.tag("malformed_directive");
-            e.str(m);
-        }
-        CppErrorKind::BadExpression(x) => {
-            e.tag("bad_expression");
-            e.str(x);
-        }
-        CppErrorKind::UserError(m) => {
-            e.tag("user_error");
-            e.str(m);
-        }
-        CppErrorKind::UnterminatedConditional => e.tag("unterminated_conditional"),
-        CppErrorKind::WrongArgumentCount {
-            name,
-            expected,
-            got,
-        } => {
-            e.tag("wrong_argument_count");
-            e.str(name);
-            e.u64(*expected as u64);
-            e.u64(*got as u64);
-        }
-    }
-}
-
-fn decode_cpp_error(d: &mut Dec) -> Result<CppError, String> {
-    let file = d.str()?;
-    let line = d.u32()?;
-    let kind = match d.tag()? {
-        "include_not_found" => CppErrorKind::IncludeNotFound(d.str()?),
-        "include_depth_exceeded" => CppErrorKind::IncludeDepthExceeded,
-        "malformed_directive" => CppErrorKind::MalformedDirective(d.str()?),
-        "bad_expression" => CppErrorKind::BadExpression(d.str()?),
-        "user_error" => CppErrorKind::UserError(d.str()?),
-        "unterminated_conditional" => CppErrorKind::UnterminatedConditional,
-        "wrong_argument_count" => CppErrorKind::WrongArgumentCount {
-            name: d.str()?,
-            expected: d.u64()? as usize,
-            got: d.u64()? as usize,
-        },
-        other => return Err(format!("bad cpp-error tag {other:?}")),
+    (decode $d:ident $ty:ident::$v:ident {$($x:ident),*}) => {
+        $ty::$v { $($x: variant!(field $d $x)),* }
     };
-    Ok(CppError { file, line, kind })
+    (field $d:ident $x:ident) => { Codec::decode($d)? };
 }
 
-// ---------------------------------------------------------------------------
-// Config entries.
-// ---------------------------------------------------------------------------
+codec!(enum Option<T> { Some(value) = "some", None {} = "none" });
 
-fn encode_config_entry(fingerprint: u64, content_fp: u64, cfg: &BuildConfig) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(fingerprint);
-    e.u64(content_fp);
-    e.str(cfg.arch.name);
-    match &cfg.kind {
-        ConfigKind::AllYes => e.tag("allyes"),
-        ConfigKind::AllMod => e.tag("allmod"),
-        ConfigKind::Defconfig(path) => {
-            e.tag("defconfig");
-            e.str(path);
-        }
-        ConfigKind::Custom { name, content } => {
-            e.tag("custom");
-            e.str(name);
-            e.str(content);
-        }
-        ConfigKind::Rand { seed } => {
-            e.tag("rand");
-            e.u64(*seed);
-        }
-    }
-    // The Config's `.config` rendering lists every symbol (set *and*
-    // explicitly-unset) in BTreeMap order — a lossless, deterministic
-    // serialization the decoder re-parses line by line.
-    e.str(&cfg.config.render());
-    let symbols: Vec<&Symbol> = cfg.model.symbols().collect();
-    e.u64(symbols.len() as u64);
-    for sym in symbols {
-        e.str(&sym.name);
-        e.tag(match sym.ty {
-            SymbolType::Bool => "bool",
-            SymbolType::Tristate => "tristate",
-            SymbolType::Int => "int",
-            SymbolType::Hex => "hex",
-            SymbolType::String => "string",
-        });
-        e.opt_str(sym.prompt.as_deref());
-        // `Expr::Display` round-trips through `Expr::parse` (pinned by
-        // jmake-kconfig's display_round_trips test).
-        e.opt_str(sym.depends.as_ref().map(|x| x.to_string()).as_deref());
-        e.u64(sym.selects.len() as u64);
-        for (target, cond) in &sym.selects {
-            e.str(target);
-            e.opt_str(cond.as_ref().map(|x| x.to_string()).as_deref());
-        }
-        e.u64(sym.defaults.len() as u64);
-        for (value, cond) in &sym.defaults {
-            e.tag(&value.to_string());
-            e.opt_str(cond.as_ref().map(|x| x.to_string()).as_deref());
-        }
-        e.str(&sym.declared_in);
-        match sym.choice_group {
-            Some(g) => {
-                e.tag("some");
-                e.u64(u64::from(g));
+codec!(enum Result<T, E> { Ok(value) = "ok", Err(error) = "err" });
+
+/// Unsigned integers as a `u64`, range-checked on the way back.
+macro_rules! codec_as_u64 {
+    ($($ty:ident),*) => {$(
+        impl Codec for $ty {
+            fn encode(&self, e: &mut Enc) {
+                e.u64(*self as u64);
             }
-            None => e.tag("none"),
+            fn decode(d: &mut Dec) -> Result<Self, String> {
+                $ty::try_from(d.u64()?).map_err(|_| format!("{} out of range", stringify!($ty)))
+            }
         }
-    }
-    e.buf
+    )*};
 }
 
-fn decode_config_entry(
-    payload: &[u8],
-    registry: &ArchRegistry,
-) -> Result<(u64, u64, BuildConfig), String> {
-    let mut d = Dec::new(payload);
-    let fingerprint = d.u64()?;
-    let content_fp = d.u64()?;
-    let arch_name = d.str()?;
-    let arch = registry
-        .get(&arch_name)
-        .ok_or_else(|| format!("unknown arch {arch_name:?}"))?;
-    let kind = match d.tag()? {
-        "allyes" => ConfigKind::AllYes,
-        "allmod" => ConfigKind::AllMod,
-        "defconfig" => ConfigKind::Defconfig(d.str()?),
-        "custom" => ConfigKind::Custom {
-            name: d.str()?,
-            content: d.str()?,
-        },
-        "rand" => ConfigKind::Rand { seed: d.u64()? },
-        other => return Err(format!("bad kind tag {other:?}")),
-    };
-    let config = parse_config_render(&d.str()?)?;
-    let n_symbols = d.u64()?;
-    let mut model = KconfigModel::new();
-    for _ in 0..n_symbols {
+codec_as_u64!(u64, u32, usize);
+
+/// `y` or `n`.
+impl Codec for bool {
+    fn encode(&self, e: &mut Enc) {
+        e.tag(BOOL[usize::from(*self)]);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let tag = d.line()?;
+        let value = BOOL.iter().position(|t| *t == tag).map(|i| i == 1);
+        value.ok_or_else(|| format!("bad bool {tag:?}"))
+    }
+}
+
+/// Each bool's tag, false first.
+const BOOL: [&str; 2] = ["n", "y"];
+
+/// A character as its code point.
+impl Codec for char {
+    fn encode(&self, e: &mut Enc) {
+        u32::from(*self).encode(e);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let v = u32::decode(d)?;
+        char::from_u32(v).ok_or_else(|| format!("bad char {v:#x}"))
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        d.str()
+    }
+}
+
+/// The one `&'static str` the records carry through [`codec!`]: the
+/// fault-site name of `BuildError::RetriesExhausted`, re-interned against
+/// the closed set of sites (an unknown name is a corrupt entry).
+impl Codec for &'static str {
+    fn encode(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
         let name = d.str()?;
-        let ty = match d.tag()? {
-            "bool" => SymbolType::Bool,
-            "tristate" => SymbolType::Tristate,
-            "int" => SymbolType::Int,
-            "hex" => SymbolType::Hex,
-            "string" => SymbolType::String,
-            other => return Err(format!("bad symbol type {other:?}")),
-        };
-        let mut sym = Symbol::new(name, ty);
-        sym.prompt = d.opt_str()?;
-        sym.depends = parse_opt_expr(&mut d)?;
-        let n_selects = d.u64()?;
-        for _ in 0..n_selects {
-            let target = d.str()?;
-            sym.selects.push((target, parse_opt_expr(&mut d)?));
-        }
-        let n_defaults = d.u64()?;
-        for _ in 0..n_defaults {
-            let value = parse_tristate(d.tag()?)?;
-            sym.defaults.push((value, parse_opt_expr(&mut d)?));
-        }
-        sym.declared_in = d.str()?;
-        sym.choice_group = match d.tag()? {
-            "some" => Some(d.u32()?),
-            "none" => None,
-            other => return Err(format!("bad option tag {other:?}")),
-        };
-        model.insert(sym);
-    }
-    if !d.at_end() {
-        return Err("trailing bytes".to_string());
-    }
-    let built = BuildConfig::from_parts(arch, kind, config, model);
-    if built.content_fingerprint() != content_fp {
-        // The stored key disagrees with the recomputed one — the entry
-        // cannot be trusted to answer the lookups it claims to.
-        return Err("content fingerprint mismatch".to_string());
-    }
-    Ok((fingerprint, content_fp, built))
-}
-
-fn parse_opt_expr(d: &mut Dec) -> Result<Option<Expr>, String> {
-    match d.opt_str()? {
-        None => Ok(None),
-        Some(text) => Expr::parse(&text).map(Some).map_err(|e| format!("bad expr: {e}")),
+        let site = FaultSite::ALL.into_iter().find(|site| site.name() == name);
+        site.map(FaultSite::name).ok_or_else(|| format!("unknown fault op {name:?}"))
     }
 }
 
-fn parse_tristate(tag: &str) -> Result<Tristate, String> {
-    let mut chars = tag.chars();
-    match (chars.next(), chars.next()) {
-        (Some(c), None) => {
-            Tristate::from_config_char(c).ok_or_else(|| format!("bad tristate {tag:?}"))
-        }
-        _ => Err(format!("bad tristate {tag:?}")),
+impl<T: Codec> Codec for Arc<T> {
+    fn encode(&self, e: &mut Enc) {
+        (**self).encode(e);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        T::decode(d).map(Arc::new)
     }
 }
 
-/// Re-parse `Config::render` output: `CONFIG_X=y|m` or
+/// A count, then the items.
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.len() as u64);
+        self.iter().for_each(|item| item.encode(e));
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        // Every item takes a byte or more: refuse counts the payload cannot hold.
+        let n = d.u64()?;
+        if n > (d.bytes.len() - d.pos) as u64 {
+            return Err("list longer than its payload".to_string());
+        }
+        (0..n).map(|_| T::decode(d)).collect()
+    }
+}
+
+impl Codec for () {
+    fn encode(&self, _: &mut Enc) {}
+    fn decode(_: &mut Dec) -> Result<Self, String> {
+        Ok(())
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn encode(&self, e: &mut Enc) {
+        self.0.encode(e);
+        self.1.encode(e);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        Ok((A::decode(d)?, B::decode(d)?))
+    }
+}
+
+/// Strictly ascending names, so one set has one encoding (a `HashSet`
+/// iterates in no fixed order).
+impl Codec for HashSet<String> {
+    fn encode(&self, e: &mut Enc) {
+        let mut names: Vec<&String> = self.iter().collect();
+        names.sort_unstable();
+        e.u64(names.len() as u64);
+        names.into_iter().for_each(|name| e.str(name));
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let names = Vec::<String>::decode(d)?;
+        strictly_ascending(&names, |name| name)?;
+        Ok(names.into_iter().collect())
+    }
+}
+
+/// Refuse items not in strictly ascending `key` order: a sorted
+/// collection has exactly one encoding.
+fn strictly_ascending<T, K: Ord>(items: &[T], key: impl Fn(&T) -> &K) -> Result<(), String> {
+    let ascending = items.windows(2).all(|w| key(&w[0]) < key(&w[1]));
+    ascending.then_some(()).ok_or_else(|| "items out of order".to_string())
+}
+
+codec!(enum CachedObj {
+    I { text_len, result } = "I",
+    O { text_len, result } = "O",
+});
+
+codec!(struct IFile { path, text, expanded_macros, includes });
+
+codec!(enum BuildError {
+    UnknownArch(arch) = "unknown_arch",
+    CrossCompilerMissing(arch) = "cross_compiler_missing",
+    NoKconfig(arch) = "no_kconfig",
+    KconfigParse(message) = "kconfig_parse",
+    MissingFile(path) = "missing_file",
+    NoMakefile(path) = "no_makefile",
+    NotEnabled(path) = "not_enabled",
+    SetupCompilationFailed(path) = "setup_compilation_failed",
+    PreprocessFailed { file, first_error } = "preprocess_failed",
+    FrontEndRejected { file, error } = "front_end_rejected",
+    RetriesExhausted { op, attempts } = "retries_exhausted",
+});
+
+codec!(enum SyntaxError {
+    InvalidCharacter { ch, line } = "invalid_character",
+    UnbalancedDelimiter { ch, line } = "unbalanced_delimiter",
+    UnterminatedLiteral { line } = "unterminated_literal",
+    EmptyTranslationUnit {} = "empty_translation_unit",
+});
+
+/// The key's fields, then the entry; the key's kind is not written but
+/// read back from the entry's variant.
+impl Codec for ObjectRecord {
+    fn encode(&self, e: &mut Enc) {
+        let (key, obj) = self;
+        (key.blob.hi(), key.blob.lo()).encode(e);
+        e.str(&key.path);
+        key.include_fp.encode(e);
+        key.env_fp.encode(e);
+        key.module.encode(e);
+        e.str(key.arch);
+        obj.encode(e);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let (hi, lo) = Codec::decode(d)?;
+        let path = Arc::from(d.str()?);
+        let (include_fp, env_fp) = Codec::decode(d)?;
+        let module = bool::decode(d)?;
+        let arch = Arch::decode(d)?.name;
+        let obj = CachedObj::decode(d)?;
+        let kind = if matches!(obj, CachedObj::I { .. }) { ObjKind::I } else { ObjKind::O };
+        let blob = ContentHash::from_parts(hi, lo);
+        let key = ObjectKey { blob, path, include_fp, env_fp, module, arch, kind };
+        Ok((key, Arc::new(obj)))
+    }
+}
+
+/// An architecture by name, re-interned against the registry: a key
+/// wants its `'static` name, and an arch this build does not know cannot
+/// be served.
+impl Codec for Arch {
+    fn encode(&self, e: &mut Enc) {
+        e.str(self.name);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let name = d.str()?;
+        ArchRegistry::new().get(&name).ok_or_else(|| format!("unknown arch {name:?}"))
+    }
+}
+
+codec!(struct IncludeKey { path, closure_fp, macro_fp, pragma_fp, depth });
+
+codec!(struct IncludeEffect {
+    chunk, exit_marker, errors, expanded, includes, pragma_adds, macro_events, first_flush
+});
+
+codec!(enum MacroEvent {
+    Define(def) = "define",
+    Undef(name) = "undef",
+});
+
+codec!(struct MacroDef { name, params, variadic, body });
+
+codec!(struct Token { kind, text, space_before, line });
+
+codec!(enum TokenKind {
+    Ident {} = "id",
+    Number {} = "num",
+    Str {} = "str",
+    Char {} = "chr",
+    Punct {} = "pun",
+    Other(ch) = "oth",
+});
+
+codec!(struct CppError { file, line, kind });
+
+codec!(enum CppErrorKind {
+    IncludeNotFound(target) = "include_not_found",
+    IncludeDepthExceeded {} = "include_depth_exceeded",
+    MalformedDirective(message) = "malformed_directive",
+    BadExpression(expr) = "bad_expression",
+    UserError(message) = "user_error",
+    UnterminatedConditional {} = "unterminated_conditional",
+    WrongArgumentCount { name, expected, got } = "wrong_argument_count",
+});
+
+/// The tree fingerprint and content fingerprint, then the configuration;
+/// the cache key is recomputed from the decoded configuration.
+impl Codec for ConfigRecord {
+    fn encode(&self, e: &mut Enc) {
+        let ((fingerprint, _, content_fp), cfg) = self;
+        (*fingerprint, *content_fp).encode(e);
+        cfg.arch.encode(e);
+        cfg.kind.encode(e);
+        cfg.config.encode(e);
+        cfg.model.encode(e);
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let (fingerprint, content_fp) = Codec::decode(d)?;
+        let arch = Arch::decode(d)?;
+        let kind = ConfigKind::decode(d)?;
+        let cfg = BuildConfig::from_parts(arch, kind, Config::decode(d)?, KconfigModel::decode(d)?);
+        if cfg.content_fingerprint() != content_fp {
+            // The stored key disagrees with the recomputed one — the entry
+            // cannot be trusted to answer the lookups it claims to.
+            return Err("content fingerprint mismatch".to_string());
+        }
+        Ok(((fingerprint, cfg.key().clone(), content_fp), Arc::new(cfg)))
+    }
+}
+
+codec!(enum ConfigKind {
+    AllYes {} = "allyes",
+    AllMod {} = "allmod",
+    Defconfig(path) = "defconfig",
+    Custom { name, content } = "custom",
+    Rand { seed } = "rand",
+});
+
+/// The `.config` rendering, which lists every symbol (set *and*
+/// explicitly unset) in name order: `CONFIG_X=y|m` or
 /// `# CONFIG_X is not set`, one line each.
-fn parse_config_render(text: &str) -> Result<Config, String> {
-    let mut config = Config::default();
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("# CONFIG_") {
-            let name = rest
-                .strip_suffix(" is not set")
-                .ok_or_else(|| format!("bad config line {line:?}"))?;
-            config.set(name, Tristate::N);
-        } else if let Some(rest) = line.strip_prefix("CONFIG_") {
-            let (name, value) = rest
-                .split_once('=')
-                .ok_or_else(|| format!("bad config line {line:?}"))?;
-            let value = parse_tristate(value)?;
-            config.set(name, value);
-        } else if !line.trim().is_empty() {
-            return Err(format!("bad config line {line:?}"));
-        }
+impl Codec for Config {
+    fn encode(&self, e: &mut Enc) {
+        e.str(&self.render());
     }
-    Ok(config)
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        canonical_text(d, Config::render, |text| {
+            let mut config = Config::default();
+            for line in text.lines() {
+                let bad = || format!("bad config line {line:?}");
+                let (name, value) = match line.strip_prefix("# CONFIG_") {
+                    Some(rest) => (rest.strip_suffix(" is not set").ok_or_else(bad)?, Tristate::N),
+                    None => {
+                        let rest = line.strip_prefix("CONFIG_").ok_or_else(bad)?;
+                        let (name, value) = rest.split_once('=').ok_or_else(bad)?;
+                        (name, parse_tristate(value)?)
+                    }
+                };
+                config.set(name, value);
+            }
+            Ok(config)
+        })
+    }
+}
+
+/// Every symbol in name order.
+impl Codec for KconfigModel {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.len() as u64);
+        self.symbols().for_each(|sym| sym.encode(e));
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        let symbols = Vec::<Symbol>::decode(d)?;
+        strictly_ascending(&symbols, |sym| &sym.name)?;
+        let mut model = KconfigModel::new();
+        symbols.into_iter().for_each(|sym| model.insert(sym));
+        Ok(model)
+    }
+}
+
+codec!(struct Symbol {
+    name, ty, prompt, depends, selects, defaults, declared_in, choice_group
+});
+
+codec!(enum SymbolType {
+    Bool {} = "bool",
+    Tristate {} = "tristate",
+    Int {} = "int",
+    Hex {} = "hex",
+    String {} = "string",
+});
+
+/// An expression as its `Display` text, which `Expr::parse` reads back
+/// (pinned by jmake-kconfig's display_round_trips test).
+impl Codec for Expr {
+    fn encode(&self, e: &mut Enc) {
+        e.str(&self.to_string());
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        canonical_text(d, Expr::to_string, |text| {
+            Expr::parse(text).map_err(|e| format!("bad expr: {e}"))
+        })
+    }
+}
+
+/// A value stored as its text: `parse` reads it back, and the value must
+/// `render` to exactly that text again.
+fn canonical_text<T>(
+    d: &mut Dec,
+    render: impl Fn(&T) -> String,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let text = d.str()?;
+    let value = parse(&text)?;
+    if render(&value) != text {
+        return Err(format!("non-canonical text {text:?}"));
+    }
+    Ok(value)
+}
+
+/// A value as its bare `.config` letter (`y`, `m`, `n`).
+impl Codec for Tristate {
+    fn encode(&self, e: &mut Enc) {
+        e.tag(&self.to_string());
+    }
+    fn decode(d: &mut Dec) -> Result<Self, String> {
+        parse_tristate(d.line()?)
+    }
+}
+
+fn parse_tristate(text: &str) -> Result<Tristate, String> {
+    let value = [Tristate::N, Tristate::M, Tristate::Y].into_iter().find(|t| t.to_string() == text);
+    value.ok_or_else(|| format!("bad tristate {text:?}"))
 }
 
 #[cfg(test)]
@@ -1516,6 +1171,31 @@ mod tests {
                         got: 3,
                     },
                 },
+                CppError {
+                    file: "include/linux/k.h".into(),
+                    line: 11,
+                    kind: CppErrorKind::IncludeDepthExceeded,
+                },
+                CppError {
+                    file: "k.h".into(),
+                    line: 12,
+                    kind: CppErrorKind::MalformedDirective("#defin".into()),
+                },
+                CppError {
+                    file: "k.h".into(),
+                    line: 13,
+                    kind: CppErrorKind::BadExpression("1 +".into()),
+                },
+                CppError {
+                    file: "k.h".into(),
+                    line: 14,
+                    kind: CppErrorKind::UserError("#error no\nway".into()),
+                },
+                CppError {
+                    file: "k.h".into(),
+                    line: 15,
+                    kind: CppErrorKind::UnterminatedConditional,
+                },
             ],
             expanded: vec!["CONFIG_NET".to_string()],
             includes: vec!["include/linux/inner.h".to_string()],
@@ -1527,6 +1207,23 @@ mod tests {
                     vec!["a".into(), "b".into()],
                     "((a)>(b)?(a):(b))",
                 ))),
+                MacroEvent::Define(Arc::new(MacroDef {
+                    name: "ALL".into(),
+                    params: Some(Vec::new()),
+                    variadic: true,
+                    body: [
+                        TokenKind::Ident,
+                        TokenKind::Number,
+                        TokenKind::Str,
+                        TokenKind::Char,
+                        TokenKind::Punct,
+                        TokenKind::Other('\u{e9}'),
+                    ]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, kind)| Token::new(kind, format!("t{i}\n"), i % 2 == 0, i as u32))
+                    .collect(),
+                })),
                 MacroEvent::Undef("K".to_string()),
             ],
             first_flush: Some(("include/linux/k.h".to_string(), 1)),
@@ -1534,84 +1231,260 @@ mod tests {
         (key, effect)
     }
 
-    #[test]
-    fn object_entry_round_trips() {
-        let registry = ArchRegistry::new();
-        let (key, obj) = sample_object();
-        let payload = encode_object_entry(&key, &obj);
-        let (key2, obj2) = decode_object_entry(&payload, &registry).unwrap();
-        assert_eq!(key, key2);
-        assert_eq!(payload, encode_object_entry(&key2, &obj2));
-    }
-
-    #[test]
-    fn object_entry_round_trips_every_error_shape() {
-        let registry = ArchRegistry::new();
-        let (key, _) = sample_object();
-        let errors = vec![
+    /// Every `BuildError` shape, with every `SyntaxError` under
+    /// `FrontEndRejected`.
+    fn every_build_error() -> Vec<BuildError> {
+        let mut errors = vec![
             BuildError::UnknownArch("weird".into()),
+            BuildError::CrossCompilerMissing("arm64".into()),
+            BuildError::NoKconfig("sh".into()),
             BuildError::KconfigParse("bad line".into()),
+            BuildError::MissingFile("a.c".into()),
+            BuildError::NoMakefile("drivers/x".into()),
+            BuildError::NotEnabled("drivers/x/y.c".into()),
+            BuildError::SetupCompilationFailed("scripts/mod.c".into()),
             BuildError::PreprocessFailed {
                 file: "a.c".into(),
                 first_error: "missing.h not found".into(),
-            },
-            BuildError::FrontEndRejected {
-                file: "a.c".into(),
-                error: SyntaxError::UnbalancedDelimiter { ch: '}', line: 7 },
             },
             BuildError::RetriesExhausted {
                 op: "make_o",
                 attempts: 4,
             },
         ];
-        for err in errors {
-            let key = ObjectKey {
-                kind: ObjKind::O,
-                ..key.clone()
-            };
+        let syntax = [
+            SyntaxError::InvalidCharacter { ch: '\u{e9}', line: 3 },
+            SyntaxError::UnbalancedDelimiter { ch: '}', line: 7 },
+            SyntaxError::UnterminatedLiteral { line: 8 },
+            SyntaxError::EmptyTranslationUnit,
+        ];
+        errors.extend(syntax.into_iter().map(|error| BuildError::FrontEndRejected {
+            file: "a.c".into(),
+            error,
+        }));
+        errors
+    }
+
+    /// Caches holding a record of every shape the segment format has:
+    /// object `I` ok and err, object `O` ok and every error, a preproc
+    /// entry with every diagnostic and macro event, an empty preproc
+    /// entry, and one solved config.
+    fn every_shape() -> (ObjectCache, ConfigCache, PreprocCache) {
+        let (key, obj) = sample_object();
+        let o_key = |i: u64| ObjectKey {
+            kind: ObjKind::O,
+            include_fp: i,
+            ..key.clone()
+        };
+        let mut objects = vec![
+            (key.clone(), obj),
+            (
+                ObjectKey {
+                    include_fp: 1,
+                    ..key.clone()
+                },
+                CachedObj::I {
+                    text_len: 0,
+                    result: Err("missing.h not found".into()),
+                },
+            ),
+            (o_key(2), CachedObj::O { text_len: 9, result: Ok(()) }),
+        ];
+        for (i, err) in every_build_error().into_iter().enumerate() {
             let obj = CachedObj::O {
-                text_len: 9,
+                text_len: 100 + i as u64,
                 result: Err(err),
             };
-            let payload = encode_object_entry(&key, &obj);
-            let (key2, obj2) = decode_object_entry(&payload, &registry).unwrap();
-            assert_eq!(key, key2);
-            assert_eq!(payload, encode_object_entry(&key2, &obj2));
+            objects.push((o_key(3 + i as u64), obj));
+        }
+        let (objects, configs, preproc) = filled(objects);
+        let (pkey, _) = sample_preproc();
+        let empty = IncludeKey { depth: 3, ..pkey };
+        preproc.insert(empty, Arc::new(IncludeEffect::default()));
+        (objects, configs, preproc)
+    }
+
+    /// Encode `value`, decode the bytes, and re-encode: the bytes must not
+    /// move. Then hold decoding to the canonical property — a payload
+    /// that decodes re-encodes to itself — on every variant of the bytes
+    /// a lax number parser would still accept: a `+` sign or a leading
+    /// zero before any line, a leading zero dropped, or a line in upper
+    /// case. Returns the decoded value.
+    fn round_trip<T: Codec>(value: &T) -> T {
+        let payload = encode_payload(value);
+        let text = String::from_utf8_lossy(&payload);
+        let decoded: T =
+            decode_payload(&payload).unwrap_or_else(|e| panic!("{e}: cannot decode {text:?}"));
+        assert_eq!(encode_payload(&decoded), payload, "re-encoding moved {text:?}");
+        let line_starts = std::iter::once(0)
+            .chain((0..payload.len()).filter(|&i| payload[i] == b'\n').map(|i| i + 1))
+            .filter(|&at| at < payload.len());
+        for at in line_starts {
+            let line_len = payload[at..].iter().position(|&b| b == b'\n');
+            let end = line_len.map_or(payload.len(), |n| at + n);
+            let mut variants = Vec::new();
+            for prefix in [b'+', b'0'] {
+                let mut v = payload.clone();
+                v.insert(at, prefix);
+                variants.push(v);
+            }
+            if payload[at] == b'0' {
+                let mut v = payload.clone();
+                v.remove(at);
+                variants.push(v);
+            }
+            if payload[at..end].iter().any(u8::is_ascii_lowercase) {
+                let mut v = payload.clone();
+                v[at..end].make_ascii_uppercase();
+                variants.push(v);
+            }
+            for variant in variants {
+                if let Ok(lax) = decode_payload::<T>(&variant) {
+                    assert_eq!(
+                        encode_payload(&lax),
+                        variant,
+                        "non-canonical bytes decoded: {:?}",
+                        String::from_utf8_lossy(&variant)
+                    );
+                }
+            }
+        }
+        decoded
+    }
+
+    #[test]
+    fn every_codec_type_round_trips_canonically() {
+        for v in [0, 1, 0xabc, u64::MAX] {
+            assert_eq!(round_trip(&v), v);
+        }
+        assert_eq!(round_trip(&u32::MAX), u32::MAX);
+        assert_eq!(round_trip(&7usize), 7);
+        assert!(round_trip(&true) && !round_trip(&false));
+        for c in ['a', '\u{e9}', '\u{10ffff}'] {
+            assert_eq!(round_trip(&c), c);
+        }
+        for s in ["", "0", "a\nb\n", "+1", "\u{fc}ber"] {
+            assert_eq!(round_trip(&s.to_string()), s);
+        }
+        assert_eq!(round_trip(&"make_o"), "make_o");
+        assert_eq!(round_trip(&Some(5u64)), Some(5));
+        assert_eq!(round_trip(&None::<String>), None);
+        let strings = vec!["b".to_string(), String::new(), "a".to_string()];
+        assert_eq!(round_trip(&strings), strings);
+        assert_eq!(round_trip(&Ok::<(), String>(())), Ok(()));
+        assert_eq!(round_trip(&Err::<(), String>("no".into())), Err("no".into()));
+        assert_eq!(round_trip(&(3u32, true)), (3, true));
+        let set: HashSet<String> = ["z", "a", "m"].into_iter().map(String::from).collect();
+        assert_eq!(round_trip(&set), set);
+        for t in [Tristate::N, Tristate::M, Tristate::Y] {
+            assert_eq!(round_trip(&t), t);
+        }
+        let expr = Expr::parse("NET && (E1000 || !m)").unwrap();
+        assert_eq!(round_trip(&expr), expr);
+
+        // Every record shape the segment format has.
+        let (objects, configs, preproc) = every_shape();
+        for record in objects.snapshot() {
+            assert_eq!(round_trip(&record), record);
+        }
+        for record in preproc.snapshot() {
+            assert_eq!(round_trip(&record), record);
+        }
+        let [(_, cfg)] = &configs.snapshot()[..] else {
+            panic!("every_shape holds one config");
+        };
+        let kinds = [
+            ConfigKind::AllYes,
+            ConfigKind::AllMod,
+            ConfigKind::Defconfig("arch/x86/configs/x86_64_defconfig".into()),
+            ConfigKind::Custom {
+                name: "cover-1".into(),
+                content: "CONFIG_NET=y\n".into(),
+            },
+            ConfigKind::Rand { seed: u64::MAX },
+        ];
+        for kind in kinds {
+            let (config, model) = (cfg.config.clone(), cfg.model.clone());
+            let cfg = BuildConfig::from_parts(cfg.arch, kind, config, model);
+            let record = ((11, cfg.key().clone(), cfg.content_fingerprint()), Arc::new(cfg));
+            let (key, back) = round_trip(&record);
+            assert_eq!(key, record.0);
+            assert_config_eq(&back, &record.1);
         }
     }
 
+    /// A mismatched content fingerprint, an unknown arch or fault site, an
+    /// unsorted set, a bad tag, and a count the payload cannot hold are
+    /// refused, not re-keyed or guessed at.
     #[test]
-    fn preproc_entry_round_trips() {
-        let (key, effect) = sample_preproc();
-        let payload = encode_preproc_entry(&key, &effect);
-        let (key2, effect2) = decode_preproc_entry(&payload).unwrap();
-        assert_eq!(key, key2);
-        assert_eq!(effect.chunk, effect2.chunk);
-        assert_eq!(effect.macro_events, effect2.macro_events);
-        assert_eq!(payload, encode_preproc_entry(&key2, &effect2));
-    }
-
-    #[test]
-    fn preproc_entry_round_trips_empty_effect() {
-        let (key, _) = sample_preproc();
-        let effect = IncludeEffect::default();
-        let payload = encode_preproc_entry(&key, &effect);
-        let (key2, effect2) = decode_preproc_entry(&payload).unwrap();
-        assert_eq!(key, key2);
-        assert_eq!(payload, encode_preproc_entry(&key2, &effect2));
-    }
-
-    #[test]
-    fn config_entry_round_trips() {
-        let registry = ArchRegistry::new();
+    fn decoding_refuses_values_it_cannot_serve() {
         let cfg = solved_config();
-        let payload = encode_config_entry(11, 0, &cfg);
-        let (fp, content_fp, cfg2) = decode_config_entry(&payload, &registry).unwrap();
-        assert_eq!((fp, content_fp), (11, 0));
-        assert_eq!(cfg.config, cfg2.config);
-        assert_eq!(cfg.env_fingerprint(), cfg2.env_fingerprint());
-        assert_eq!(cfg.key(), cfg2.key());
-        assert_eq!(payload, encode_config_entry(11, 0, &cfg2));
+        let record = ((11, cfg.key().clone(), 1), Arc::clone(&cfg));
+        let err = decode_payload::<ConfigRecord>(&encode_payload(&record)).unwrap_err();
+        assert_eq!(err, "content fingerprint mismatch");
+        let (key, obj) = sample_object();
+        let payload = String::from_utf8(encode_payload(&(key, Arc::new(obj)))).unwrap();
+        let unknown = payload.replacen("\n6\nx86_64\n", "\n4\nmars\n", 1);
+        assert_ne!(unknown, payload);
+        assert!(decode_payload::<ObjectRecord>(unknown.as_bytes()).is_err());
+        assert!(decode_payload::<&'static str>(b"6\nmake_x\n").is_err());
+        let unsorted = encode_payload(&vec!["b".to_string(), "a".to_string()]);
+        assert!(decode_payload::<HashSet<String>>(&unsorted).is_err());
+        assert!(decode_payload::<SyntaxError>(b"no_such_tag\n").is_err());
+        assert!(decode_payload::<Vec<u64>>(b"ffffffffffffffff\n").is_err());
+    }
+
+    /// The segment the per-type codecs this module replaced wrote for
+    /// [`every_shape`]: loading it and storing the loaded caches again
+    /// must give the same file, byte for byte.
+    const FORMAT_FIXTURE: (&str, &[u8]) = (
+        "f387934d3206c2f8.seg",
+        include_bytes!("../fixtures/f387934d3206c2f8.seg"),
+    );
+
+    #[test]
+    fn format_fixture_loads_and_restores_byte_for_byte() {
+        let dir = tempdir("fixture");
+        let disk = DiskCache::open(&dir).unwrap();
+        let (name, bytes) = FORMAT_FIXTURE;
+        std::fs::write(dir.join("segments").join(name), bytes).unwrap();
+        let loaded = (ObjectCache::new(), ConfigCache::new(), PreprocCache::new());
+        let stats = disk.load(&loaded.0, &loaded.1, &loaded.2, &Faults::disabled()).unwrap();
+        let expected = DiskTierStats {
+            objects_loaded: 17,
+            configs_loaded: 1,
+            preproc_loaded: 2,
+            ..DiskTierStats::default()
+        };
+        assert_eq!(stats, expected);
+
+        let samples = every_shape();
+        assert_eq!(by_digest(loaded.0.snapshot()), by_digest(samples.0.snapshot()));
+        assert_eq!(by_digest(loaded.2.snapshot()), by_digest(samples.2.snapshot()));
+        let (configs, sample_configs) = (loaded.1.snapshot(), samples.1.snapshot());
+        assert_eq!(configs.len(), 1);
+        assert_eq!(configs[0].0, sample_configs[0].0);
+        assert_config_eq(&configs[0].1, &sample_configs[0].1);
+
+        for (tag, caches) in [("fixture-restore", &loaded), ("fixture-samples", &samples)] {
+            let out = tempdir(tag);
+            DiskCache::open(&out).unwrap().store(&caches.0, &caches.1, &caches.2).unwrap();
+            let segment = only_segment(&out);
+            assert_eq!(segment.file_name().unwrap().to_str(), Some(name), "{tag}");
+            assert!(std::fs::read(&segment).unwrap() == bytes, "{tag}: bytes moved");
+            std::fs::remove_dir_all(&out).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn by_digest<R: Record>(records: Vec<R>) -> std::collections::BTreeMap<u64, R> {
+        records.into_iter().map(|r| (r.key_digest(), r)).collect()
+    }
+
+    fn assert_config_eq(a: &BuildConfig, b: &BuildConfig) {
+        assert_eq!((a.arch, &a.kind, &a.config, a.key()), (b.arch, &b.kind, &b.config, b.key()));
+        assert!(a.model.symbols().eq(b.model.symbols()));
+        assert_eq!(a.env_fingerprint(), b.env_fingerprint());
     }
 
     #[test]
@@ -1735,14 +1608,15 @@ mod tests {
     #[test]
     fn overflowing_string_length_is_quarantined_not_a_panic() {
         let (key, obj) = sample_object();
-        let payload = String::from_utf8(encode_object_entry(&key, &obj)).unwrap();
+        let record = (key, Arc::new(obj));
+        let payload = String::from_utf8(encode_payload(&record)).unwrap();
         // `drivers/net/a.c` is the first length-prefixed field.
         let bad = payload.replacen("\n15\n", "\n18446744073709551615\n", 1);
         assert_ne!(bad, payload);
 
         let dir = tempdir("len-overflow");
         let disk = DiskCache::open(&dir).unwrap();
-        let record = (Kind::Object, object_key_digest(&key), bad.into_bytes());
+        let record = (Kind::Object, record.key_digest(), bad.into_bytes());
         std::fs::write(
             dir.join("segments").join("0000000000000000.seg"),
             segment_bytes(&[record]),
@@ -2081,7 +1955,7 @@ mod tests {
                 kind: *kind,
                 key: *key,
                 len: payload.len() as u64,
-                digest: payload_digest(payload),
+                digest: fnv(&[payload]),
             };
             bytes.extend_from_slice(header.render().as_bytes());
             bytes.extend_from_slice(payload);
@@ -2145,7 +2019,7 @@ mod tests {
         }
 
         proptest! {
-            /// encode → decode → encode is a fixpoint for any effect.
+            /// Any effect round-trips canonically.
             #[test]
             fn preproc_entries_round_trip(
                 path in "[ -~]{1,30}",
@@ -2156,11 +2030,8 @@ mod tests {
                 effect in any_effect(),
             ) {
                 let key = IncludeKey { path, closure_fp, macro_fp, pragma_fp, depth };
-                let payload = encode_preproc_entry(&key, &effect);
-                let (key2, effect2) = decode_preproc_entry(&payload).unwrap();
-                prop_assert_eq!(&key, &key2);
-                prop_assert_eq!(&effect.macro_events, &effect2.macro_events);
-                prop_assert_eq!(payload, encode_preproc_entry(&key2, &effect2));
+                let record = (key, Arc::new(effect));
+                prop_assert_eq!(round_trip(&record), record);
             }
         }
     }
@@ -2216,18 +2087,11 @@ mod tests {
         configs: &ConfigCache,
         preproc: &PreprocCache,
     ) -> std::collections::BTreeMap<(Kind, u64), Vec<u8>> {
-        let objects = objects
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| ((Kind::Object, object_key_digest(&k)), encode_object_entry(&k, &v)));
-        let configs = configs.snapshot().into_iter().map(|((fp, k, content_fp), cfg)| {
-            let digest = config_key_digest(fp, k.arch(), k.kind_key(), content_fp);
-            ((Kind::Config, digest), encode_config_entry(fp, content_fp, &cfg))
-        });
-        let preproc = preproc
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| ((Kind::Preproc, preproc_key_digest(&k)), encode_preproc_entry(&k, &v)));
+        fn each<R: Record>(records: Vec<R>) -> impl Iterator<Item = ((Kind, u64), Vec<u8>)> {
+            records.into_iter().map(|r| ((R::KIND, r.key_digest()), encode_payload(&r)))
+        }
+        let (objects, configs, preproc) =
+            (each(objects.snapshot()), each(configs.snapshot()), each(preproc.snapshot()));
         objects.chain(configs).chain(preproc).collect()
     }
 

@@ -85,7 +85,7 @@ impl ShardKey for ObjectKey {
 /// virtual clock charges by preprocessed-output size whether or not the
 /// preprocessor reported errors, and a hit must charge exactly what the
 /// miss did.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum CachedObj {
     /// A `make file.i` outcome: the full `.i` payload on success (JMake
     /// scans its text for mutation tokens), the first diagnostic on

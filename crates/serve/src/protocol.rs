@@ -70,6 +70,13 @@ impl Default for EvalRequest {
     }
 }
 
+/// Most driver workers one request may ask for; each is an OS thread.
+pub const MAX_WORKERS: usize = 64;
+
+/// Largest window one request may ask for: the full-scale workload
+/// ([`WorkloadProfile::full_scale`]).
+pub const MAX_COMMITS: usize = 12_000;
+
 /// One client→server message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -145,7 +152,10 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
         match key.as_str() {
             "id" => eval.id = p.number()?,
             "commits" => {
-                eval.commits = usize::try_from(p.number()?).map_err(|_| "commits out of range")?;
+                eval.commits = usize::try_from(p.number()?)
+                    .ok()
+                    .filter(|c| *c <= MAX_COMMITS)
+                    .ok_or_else(|| format!("commits must be at most {MAX_COMMITS}"))?;
                 saw_eval_field = true;
             }
             "seed" => {
@@ -155,8 +165,8 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             "workers" => {
                 eval.workers = usize::try_from(p.number()?)
                     .ok()
-                    .filter(|w| *w > 0)
-                    .ok_or("workers must be a positive integer")?;
+                    .filter(|w| (1..=MAX_WORKERS).contains(w))
+                    .ok_or_else(|| format!("workers must be between 1 and {MAX_WORKERS}"))?;
                 saw_eval_field = true;
             }
             "allmodconfig" => {
@@ -345,5 +355,24 @@ mod tests {
         assert!(decode_request("{\"shutdown\":true,\"commits\":5}").is_err());
         assert!(decode_request("{\"stats\":true,\"shutdown\":true}").is_err());
         assert!(decode_response("{\"ok\":true}").is_err());
+    }
+
+    #[test]
+    fn workers_and_commits_are_bounded() {
+        let eval = |field: &str, value: usize| decode_request(&format!("{{\"{field}\":{value}}}"));
+        let Ok(Request::Eval(r)) = eval("workers", MAX_WORKERS) else {
+            panic!("the largest worker count is accepted");
+        };
+        assert_eq!(r.workers, MAX_WORKERS);
+        for workers in [0, MAX_WORKERS + 1, 5000] {
+            assert!(eval("workers", workers).is_err(), "workers {workers}");
+        }
+        let Ok(Request::Eval(r)) = eval("commits", MAX_COMMITS) else {
+            panic!("the full-scale window is accepted");
+        };
+        assert_eq!(r.commits, MAX_COMMITS);
+        assert!(eval("commits", MAX_COMMITS + 1).is_err());
+        assert!(decode_request("{\"commits\":18446744073709551615}").is_err());
+        assert_eq!(MAX_COMMITS, WorkloadProfile::full_scale().commits);
     }
 }

@@ -35,7 +35,7 @@ use jmake_faults::Faults;
 use jmake_kbuild::{ConfigCache, DiskCache, DiskTierStats, ObjectCache, PreprocCache};
 use jmake_synth::WorkloadProfile;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -391,7 +391,13 @@ pub fn serve(opts: &ServerOptions) -> io::Result<()> {
     Ok(())
 }
 
-/// Read request lines from one connection until EOF or shutdown.
+/// Longest request line read, newline included. A longer line is
+/// answered with an error and skipped up to its newline.
+const MAX_LINE: u64 = 64 * 1024;
+
+/// Read request lines from one connection until EOF or shutdown. A line
+/// that is too long, not UTF-8, or not a valid request gets an error
+/// reply, and the connection stays open.
 fn serve_client(
     stream: UnixStream,
     id: u64,
@@ -403,13 +409,25 @@ fn serve_client(
         writer: Mutex::new(stream.try_clone()?),
         stats: ClientStats::default(),
     });
-    for line in BufReader::new(stream).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if (&mut reader).take(MAX_LINE).read_until(b'\n', &mut line)? == 0 {
+            break;
         }
+        let request = if line.len() as u64 == MAX_LINE && !line.ends_with(b"\n") {
+            reader.skip_until(b'\n')?;
+            Err(format!("request line longer than {MAX_LINE} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => protocol::decode_request(text),
+                Err(_) => Err("request line is not UTF-8".to_string()),
+            }
+        };
         client.stats.requests.fetch_add(1, Ordering::Relaxed);
-        match protocol::decode_request(&line) {
+        match request {
             Err(e) => client.send(&Response::Error {
                 id: 0,
                 error: format!("bad request: {e}"),
@@ -613,6 +631,43 @@ mod tests {
         assert_eq!(resp, Response::ShuttingDown);
         server.join().unwrap().unwrap();
         assert!(!socket.exists(), "socket file removed on clean shutdown");
+    }
+
+    #[test]
+    fn bad_bytes_get_an_error_reply_and_the_connection_stays_open() {
+        let socket = temp_socket("hostile");
+        let opts = ServerOptions {
+            socket: socket.clone(),
+            ..ServerOptions::default()
+        };
+        let server = std::thread::spawn(move || serve(&opts));
+        wait_for_socket(&socket);
+
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.write_all(b"\xff\n").unwrap();
+        let mut long = vec![b'a'; MAX_LINE as usize + 10];
+        long.push(b'\n');
+        stream.write_all(&long).unwrap();
+        stream.write_all(b"{\"stats\":true}\n").unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut replies = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            replies.push(protocol::decode_response(&line).unwrap());
+        }
+        assert!(matches!(&replies[0], Response::Error { error, .. } if error.contains("UTF-8")));
+        assert!(matches!(&replies[1], Response::Error { error, .. } if error.contains("longer")));
+        let stats = Response::Stats {
+            requests: 3,
+            responses: 0,
+            errors: 2,
+        };
+        assert_eq!(replies[2], stats);
+        drop((reader, stream));
+
+        assert_eq!(request(&socket, &Request::Shutdown).unwrap(), Response::ShuttingDown);
+        server.join().unwrap().unwrap();
     }
 
     /// A one-worker summary request for `seed`: one driver worker keeps

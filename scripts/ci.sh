@@ -130,6 +130,25 @@ SERVED_OUT="$SCRATCH/served.out"
 ./target/release/jmake-serve --socket "$SERVE_SOCK" --parallel 2 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do [ -S "$SERVE_SOCK" ] && break; sleep 0.1; done
+# Hostile input on one connection: a non-UTF-8 line and an over-long
+# line must each get an error reply, and the same connection must then
+# still answer a stats request.
+python3 - "$SERVE_SOCK" <<'PY'
+import socket, sys
+conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+conn.settimeout(30)
+conn.connect(sys.argv[1])
+replies = conn.makefile("rb")
+for request, want in [
+    (b"\xff\n", b'"error"'),
+    (b"a" * (64 * 1024 + 16) + b"\n", b'"error"'),
+    (b'{"stats":true}\n', b'"stats"'),
+]:
+    conn.sendall(request)
+    reply = replies.readline()
+    if want not in reply:
+        sys.exit(f"jmake-serve hostile-input smoke: wanted {want!r}, got {reply!r}")
+PY
 # The served report must be byte-identical to the local run above.
 ./target/release/jmake-serve --client "$SERVE_SOCK" \
   --commits 120 --workers 8 all > "$SERVED_OUT"
