@@ -101,7 +101,7 @@ use jmake_faults::{FaultSpec, Faults};
 use jmake_kbuild::{
     BuildEngine, ConfigCache, ConfigKind, DiskCache, ObjectCache, PreprocCache, SourceTree,
 };
-use jmake_reach::{Reach, ReachEnv};
+use jmake_reach::Reach;
 use jmake_synth::WorkloadProfile;
 use jmake_trace::{Stage, Tracer};
 
@@ -127,7 +127,6 @@ fn render_reach(tree: &SourceTree) -> Result<String, String> {
         return Err("no arch/<a>/Kconfig in the tree".to_string());
     }
     let mut reach = Reach::new(tree);
-    let mut envs = Vec::new();
     for arch in &arches {
         let mut engine = BuildEngine::new(tree.clone());
         let allyes = engine
@@ -136,22 +135,7 @@ fn render_reach(tree: &SourceTree) -> Result<String, String> {
         let allmod = engine
             .make_config(arch, &ConfigKind::AllMod)
             .map_err(|e| format!("{arch}: {e}"))?;
-        reach.add_model(arch.clone(), allyes.model.clone());
-        envs.push(ReachEnv {
-            label: format!("{arch}-allyes"),
-            arch: arch.clone(),
-            config: allyes.config.clone(),
-            allyes: true,
-        });
-        envs.push(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.clone(),
-            config: allmod.config.clone(),
-            allyes: false,
-        });
-    }
-    for env in envs {
-        reach.add_env(env);
+        reach.add_arch(arch, &allyes, Some(&allmod));
     }
     Ok(reach.analyze().to_json())
 }

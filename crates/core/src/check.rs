@@ -695,14 +695,7 @@ impl JMake {
                                 } else {
                                     true
                                 };
-                                classify(
-                                    tok,
-                                    content,
-                                    &cfg.model,
-                                    dead,
-                                    &cfg.config,
-                                    macro_expanded,
-                                )
+                                classify(tok, &map, &cfg.model, dead, &cfg.config, macro_expanded)
                             }
                             _ => crate::classify::UncoveredReason::Unknown,
                         };
@@ -718,7 +711,7 @@ impl JMake {
                 // mutation, not just the leftover ones.
                 let both_branches = {
                     let refs: Vec<&MutationToken> = w.plan.mutations.iter().collect();
-                    !w.remaining.is_empty() && detect_both_branches(content, &refs)
+                    !w.remaining.is_empty() && detect_both_branches(&map, &refs)
                 };
                 let status = if w.bootstrap {
                     FileStatus::Bootstrap

@@ -6,7 +6,7 @@
 //! seven reasons.
 
 use crate::token::{MutationKind, MutationToken};
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::{CondKind, SourceMap};
 use jmake_kconfig::{DeadSymbols, KconfigModel};
 use std::fmt;
 
@@ -57,17 +57,7 @@ impl fmt::Display for UncoveredReason {
     }
 }
 
-/// One stack frame of the conditional context around a line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Guard {
-    If(String),
-    Ifdef(String),
-    Ifndef(String),
-    /// `#else`/`#elif` of a group whose opening guard is recorded.
-    Else(Box<Guard>),
-}
-
-/// Classify one uncovered mutation within `content`.
+/// Classify one uncovered mutation within the file `map` describes.
 ///
 /// `model` and `dead` come from the allyesconfig attempt's Kconfig model;
 /// `all_sections_changed` should be true when the same patch also changed
@@ -76,7 +66,7 @@ enum Guard {
 /// name ever appeared among expanded macros in any attempted `.i`.
 pub fn classify(
     token: &MutationToken,
-    content: &str,
+    map: &SourceMap,
     model: &KconfigModel,
     dead: &DeadSymbols,
     allyes: &jmake_kconfig::Config,
@@ -85,15 +75,27 @@ pub fn classify(
     if token.kind == MutationKind::Define && !macro_was_expanded {
         return UncoveredReason::UnusedMacro;
     }
-    let stack = guard_stack(content, token.line);
-    // Inspect innermost-outward; the innermost decisive guard wins.
-    for guard in stack.iter().rev() {
-        match guard {
-            Guard::If(expr) => {
-                let e = expr.trim();
-                if e == "0" {
+    let conds = &map.cond_map;
+    // Inspect innermost-outward; the innermost decisive guard wins. A
+    // token on an opener, `#elif` or `#else` certifies the branch it
+    // opens.
+    for b in conds.chain(conds.branch_of(token.line)) {
+        let opener = conds.opener(b.group);
+        if b.branch > 0 {
+            // The else-of-ifndef is the positively-guarded branch; keep
+            // looking outward. Any other later branch is in the else of a
+            // guard allyesconfig satisfies.
+            if opener.kind == CondKind::Ifndef {
+                continue;
+            }
+            return UncoveredReason::IfndefOrElse;
+        }
+        match opener.kind {
+            CondKind::If => {
+                if opener.is_if_zero() {
                     return UncoveredReason::IfZero;
                 }
+                let e = opener.operand.trim();
                 if let Some(var) = single_defined_var(e) {
                     return classify_var(&var, model, dead, allyes);
                 }
@@ -101,23 +103,15 @@ pub fn classify(
                     return UncoveredReason::IfndefOrElse;
                 }
             }
-            Guard::Ifdef(var) => {
+            CondKind::Ifdef => {
+                let var = opener.operand.split_whitespace().next().unwrap_or("");
                 if var == "MODULE" {
                     return UncoveredReason::IfdefModule;
                 }
                 return classify_var(var, model, dead, allyes);
             }
-            Guard::Ifndef(_) => return UncoveredReason::IfndefOrElse,
-            Guard::Else(opening) => {
-                // In the else of an #ifdef that allyesconfig satisfies.
-                match &**opening {
-                    Guard::Ifndef(_) => {
-                        // else-of-ifndef is the positively-guarded branch;
-                        // keep looking outward.
-                    }
-                    _ => return UncoveredReason::IfndefOrElse,
-                }
-            }
+            // `#ifndef`: allyesconfig sets the variable, this branch loses.
+            _ => return UncoveredReason::IfndefOrElse,
         }
     }
     UncoveredReason::Unknown
@@ -125,19 +119,18 @@ pub fn classify(
 
 /// Upgrade a pair of reasons when a patch changed both branches of the
 /// same conditional (paper Table IV row 5).
-pub fn detect_both_branches(content: &str, tokens: &[&MutationToken]) -> bool {
-    // Two uncovered mutations whose guard stacks are the if- and else-
-    // sides of the same group: compare group indices.
+pub fn detect_both_branches(map: &SourceMap, tokens: &[&MutationToken]) -> bool {
+    // Two uncovered mutations in the if- and else-side of the same
+    // (innermost) group.
     let mut sides = std::collections::BTreeSet::new();
     for t in tokens {
-        if let Some((group, is_else)) = group_of(content, t.line) {
-            sides.insert((group, is_else));
+        if let Some(b) = map.cond_map.branch_of(t.line) {
+            sides.insert((b.group, b.branch > 0));
         }
     }
-    let groups: std::collections::BTreeSet<u32> = sides.iter().map(|(g, _)| *g).collect();
-    groups
+    sides
         .iter()
-        .any(|g| sides.contains(&(*g, false)) && sides.contains(&(*g, true)))
+        .any(|&(g, is_else)| !is_else && sides.contains(&(g, true)))
 }
 
 fn classify_var(
@@ -172,77 +165,11 @@ fn single_defined_var(expr: &str) -> Option<String> {
     }
 }
 
-/// The conditional guard stack enclosing 1-based `line`.
-fn guard_stack(content: &str, line: u32) -> Vec<Guard> {
-    let mut stack: Vec<Guard> = Vec::new();
-    for ll in logical_lines(content) {
-        if ll.first_line > line {
-            break;
-        }
-        let Some((name, rest)) = ll.directive() else {
-            continue;
-        };
-        match name {
-            "if" => stack.push(Guard::If(rest.to_string())),
-            "ifdef" => stack.push(Guard::Ifdef(first_word(rest))),
-            "ifndef" => stack.push(Guard::Ifndef(first_word(rest))),
-            "elif" | "else" => {
-                if let Some(top) = stack.pop() {
-                    let opening = match top {
-                        Guard::Else(inner) => inner,
-                        other => Box::new(other),
-                    };
-                    stack.push(Guard::Else(opening));
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    stack
-}
-
-/// Conditional group id and branch side (false = if-side, true = else-side)
-/// containing `line`, if any (innermost).
-fn group_of(content: &str, line: u32) -> Option<(u32, bool)> {
-    let mut stack: Vec<(u32, bool)> = Vec::new();
-    let mut next_group = 0u32;
-    for ll in logical_lines(content) {
-        if ll.first_line > line {
-            break;
-        }
-        let Some((name, _)) = ll.directive() else {
-            continue;
-        };
-        match name {
-            "if" | "ifdef" | "ifndef" => {
-                stack.push((next_group, false));
-                next_group += 1;
-            }
-            "elif" | "else" => {
-                if let Some(top) = stack.last_mut() {
-                    top.1 = true;
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
-        }
-    }
-    stack.last().copied()
-}
-
-fn first_word(s: &str) -> String {
-    s.split_whitespace().next().unwrap_or("").to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::token::MutationKind;
+    use jmake_cpp::analyze;
 
     fn setup(kconfig: &str) -> (KconfigModel, DeadSymbols, jmake_kconfig::Config) {
         let mut model = KconfigModel::new();
@@ -261,7 +188,17 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#if 0\nint dead;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
+            UncoveredReason::IfZero
+        );
+    }
+
+    #[test]
+    fn parenthesized_if_zero_detected() {
+        let (m, d, a) = setup("");
+        let src = "#if (0)\nint dead;\n#endif\n";
+        assert_eq!(
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfZero
         );
     }
@@ -271,7 +208,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#ifdef MODULE\nint mod_only;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfdefModule
         );
     }
@@ -284,12 +221,12 @@ mod tests {
             setup("config FULL\n\tbool \"f\"\nconfig TINY\n\tbool \"t\"\n\tdepends on !FULL\n");
         let tiny = "#ifdef CONFIG_TINY\nint t;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), tiny, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(tiny), &m, &d, &a, true),
             UncoveredReason::IfdefNotSetByAllyesconfig
         );
         let ghost = "#ifdef CONFIG_GHOST\nint g;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), ghost, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(ghost), &m, &d, &a, true),
             UncoveredReason::IfdefNeverSetInKernel
         );
     }
@@ -299,12 +236,12 @@ mod tests {
         let (m, d, a) = setup("config NET\n\tbool \"n\"\n");
         let ifndef = "#ifndef CONFIG_NET\nint fallback;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), ifndef, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(ifndef), &m, &d, &a, true),
             UncoveredReason::IfndefOrElse
         );
         let else_side = "#ifdef CONFIG_NET\nint with;\n#else\nint without;\n#endif\n";
         assert_eq!(
-            classify(&ctx(4), else_side, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(else_side), &m, &d, &a, true),
             UncoveredReason::IfndefOrElse
         );
     }
@@ -316,7 +253,7 @@ mod tests {
         // guard is defined; classification should not blame it.
         let src = "#ifndef GUARD\nint a;\n#else\nint b;\n#endif\n";
         assert_eq!(
-            classify(&ctx(4), src, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(src), &m, &d, &a, true),
             UncoveredReason::Unknown
         );
     }
@@ -326,7 +263,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#if defined(CONFIG_NOPE)\nint x;\n#endif\n";
         assert_eq!(
-            classify(&ctx(2), src, &m, &d, &a, true),
+            classify(&ctx(2), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfdefNeverSetInKernel
         );
     }
@@ -337,12 +274,12 @@ mod tests {
         let tok = MutationToken::new(MutationKind::Define, "f.c", 1);
         let src = "#define NEVER_USED(x) ((x) + 1)\n";
         assert_eq!(
-            classify(&tok, src, &m, &d, &a, false),
+            classify(&tok, &analyze(src), &m, &d, &a, false),
             UncoveredReason::UnusedMacro
         );
         // But an expanded macro with a live guard is not "unused".
         assert_ne!(
-            classify(&tok, src, &m, &d, &a, true),
+            classify(&tok, &analyze(src), &m, &d, &a, true),
             UncoveredReason::UnusedMacro
         );
     }
@@ -352,7 +289,7 @@ mod tests {
         let (m, d, a) = setup("config NET\n\tbool \"n\"\n");
         let src = "#ifdef CONFIG_NET\n#if 0\nint x;\n#endif\n#endif\n";
         assert_eq!(
-            classify(&ctx(3), src, &m, &d, &a, true),
+            classify(&ctx(3), &analyze(src), &m, &d, &a, true),
             UncoveredReason::IfZero
         );
     }
@@ -363,9 +300,9 @@ mod tests {
         let t1 = ctx(2);
         let t2 = ctx(4);
         let t3 = ctx(6);
-        assert!(detect_both_branches(src, &[&t1, &t2]));
-        assert!(!detect_both_branches(src, &[&t1, &t3]));
-        assert!(!detect_both_branches(src, &[&t2]));
+        assert!(detect_both_branches(&analyze(src), &[&t1, &t2]));
+        assert!(!detect_both_branches(&analyze(src), &[&t1, &t3]));
+        assert!(!detect_both_branches(&analyze(src), &[&t2]));
     }
 
     #[test]
@@ -373,7 +310,7 @@ mod tests {
         let (m, d, a) = setup("");
         let src = "#ifdef MODULE\nint m;\n#endif\nint after;\n";
         assert_eq!(
-            classify(&ctx(4), src, &m, &d, &a, true),
+            classify(&ctx(4), &analyze(src), &m, &d, &a, true),
             UncoveredReason::Unknown
         );
     }

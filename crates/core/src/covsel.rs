@@ -13,10 +13,10 @@
 //! back through the dependency solver.
 
 use crate::archsel::Target;
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::{analyze, CondKind};
 use jmake_kbuild::{BuildEngine, ConfigKind, SourceTree};
 use jmake_kconfig::{Config, Expr, KconfigModel};
-use jmake_reach::{Reach, ReachClass, ReachEnv};
+use jmake_reach::{Reach, ReachClass};
 use std::collections::BTreeSet;
 
 /// A variable the file's conditionals want in a specific state.
@@ -35,64 +35,46 @@ pub struct Want {
 /// Guards on `MODULE`, `#if 0`, and complex expressions are skipped —
 /// they are handled by allmodconfig and classification instead.
 pub fn branch_wants(content: &str) -> Vec<Want> {
+    let conds = analyze(content).cond_map;
     let mut out: BTreeSet<Want> = BTreeSet::new();
-    let mut stack: Vec<Option<(String, bool)>> = Vec::new(); // (var, on-state of if-side)
-    for ll in logical_lines(content) {
-        let Some((name, rest)) = ll.directive() else {
-            continue;
+    for (g, group) in conds.groups.iter().enumerate() {
+        let opener = conds.opener(g as u32);
+        let var = match opener.kind {
+            CondKind::Ifdef | CondKind::Ifndef => opener
+                .operand
+                .split_whitespace()
+                .next()
+                .and_then(|v| v.strip_prefix("CONFIG_")),
+            _ => opener
+                .operand
+                .trim()
+                .strip_prefix("defined")
+                .map(|r| {
+                    r.trim()
+                        .trim_start_matches('(')
+                        .trim_end_matches(')')
+                        .trim()
+                })
+                .and_then(|v| v.strip_prefix("CONFIG_"))
+                // Complex expressions (&&, ||, comparisons) are not
+                // single-variable branches; skip them.
+                .filter(|v| {
+                    !v.is_empty() && v.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
+                }),
         };
-        match name {
-            "ifdef" | "ifndef" => {
-                let var = rest.split_whitespace().next().unwrap_or("");
-                let tracked = var.strip_prefix("CONFIG_").map(|v| {
-                    let on = name == "ifdef";
-                    (v.to_string(), on)
-                });
-                if let Some((v, on)) = &tracked {
-                    out.insert(Want {
-                        var: v.clone(),
-                        on: *on,
-                    });
-                }
-                stack.push(tracked);
-            }
-            "if" => {
-                let e = rest.trim();
-                let var = e
-                    .strip_prefix("defined")
-                    .map(|r| {
-                        r.trim()
-                            .trim_start_matches('(')
-                            .trim_end_matches(')')
-                            .trim()
-                    })
-                    .and_then(|v| v.strip_prefix("CONFIG_"))
-                    // Complex expressions (&&, ||, comparisons) are not
-                    // single-variable branches; skip them.
-                    .filter(|v| {
-                        !v.is_empty() && v.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
-                    });
-                let tracked = var.map(|v| (v.to_string(), true));
-                if let Some((v, _)) = &tracked {
-                    out.insert(Want {
-                        var: v.clone(),
-                        on: true,
-                    });
-                }
-                stack.push(tracked);
-            }
-            "else" | "elif" => {
-                if let Some(Some((var, on))) = stack.last() {
-                    out.insert(Want {
-                        var: var.clone(),
-                        on: !on,
-                    });
-                }
-            }
-            "endif" => {
-                stack.pop();
-            }
-            _ => {}
+        let Some(var) = var else { continue };
+        // The if-side wants the variable on (off under `#ifndef`); any
+        // `#elif`/`#else` wants the opposite.
+        let on = opener.kind != CondKind::Ifndef;
+        out.insert(Want {
+            var: var.to_string(),
+            on,
+        });
+        if group.branches.len() > 1 {
+            out.insert(Want {
+                var: var.to_string(),
+                on: !on,
+            });
         }
     }
     out.into_iter().collect()
@@ -301,13 +283,7 @@ pub fn select_portfolio(
     let allyes_cost = engine.clock.now_us() - t0;
 
     let mut reach = Reach::new(tree);
-    reach.add_model(arch, allyes.model.clone());
-    reach.add_env(ReachEnv {
-        label: format!("{arch}-allyes"),
-        arch: arch.to_string(),
-        config: allyes.config.clone(),
-        allyes: true,
-    });
+    reach.add_arch(arch, &allyes, None);
     let classified = reach.analyze();
 
     // Partition the line universe. Conditional lines are the optimization

@@ -40,10 +40,11 @@
 use crate::driver::EvaluationRun;
 use crate::report::{FileReport, FileStatus};
 use crate::token::MutationKind;
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::{analyze, CondKind};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjGraph, SourceTree};
 use jmake_kconfig::Config;
-use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach};
+use jmake_reach::{Reach, ReachClass, TreeReach};
+use jmake_trace::jsonl::escape;
 use jmake_vcs::Repo;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -135,20 +136,20 @@ impl CrossCheckReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(s));
+            out.push_str(&format!("\"{}\"", escape(s)));
         }
         out.push_str("],\n  \"discrepancies\": [");
         for (i, d) in self.discrepancies.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"kind\": {}, \"arch\": {}, \"static\": {}, \"dynamic\": {}}}",
-                json_string(&d.commit),
-                json_string(&d.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"kind\": \"{}\", \"arch\": \"{}\", \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+                escape(&d.commit),
+                escape(&d.file),
                 d.line,
-                json_string(d.kind.label()),
-                json_string(&d.arch),
-                json_string(&d.static_detail),
-                json_string(&d.dynamic_detail)
+                escape(d.kind.label()),
+                escape(&d.arch),
+                escape(&d.static_detail),
+                escape(&d.dynamic_detail)
             ));
         }
         if !self.discrepancies.is_empty() {
@@ -255,19 +256,7 @@ fn solve_arches(
             }
         };
         let mut reach = Reach::new(tree);
-        reach.add_model(arch.clone(), allyes.model.clone());
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allyes"),
-            arch: arch.clone(),
-            config: allyes.config.clone(),
-            allyes: true,
-        });
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.clone(),
-            config: allmod.config.clone(),
-            allyes: false,
-        });
+        reach.add_arch(arch, &allyes, Some(&allmod));
         statics.insert(
             arch.clone(),
             ArchStatic {
@@ -393,24 +382,16 @@ pub enum LineShape {
 /// Map physical lines to their [`LineShape`].
 pub fn line_shapes(src: &str) -> BTreeMap<u32, LineShape> {
     let mut shapes = BTreeMap::new();
-    for ll in logical_lines(src) {
-        let Some((name, _)) = ll.directive() else {
-            continue;
+    for d in analyze(src).cond_map.directives {
+        let (end, multi) = (d.last_line, d.first_line != d.last_line);
+        let shape = match d.kind {
+            CondKind::If | CondKind::Ifdef | CondKind::Ifndef => {
+                LineShape::OpensFresh { end, multi }
+            }
+            CondKind::Elif | CondKind::Else => LineShape::Opens { end, multi },
+            CondKind::Endif => LineShape::Closer,
         };
-        let multi = ll.first_line != ll.last_line;
-        let shape = match name {
-            "if" | "ifdef" | "ifndef" => LineShape::OpensFresh {
-                end: ll.last_line,
-                multi,
-            },
-            "elif" | "else" => LineShape::Opens {
-                end: ll.last_line,
-                multi,
-            },
-            "endif" => LineShape::Closer,
-            _ => continue,
-        };
-        for phys in ll.first_line..=ll.last_line {
+        for phys in d.first_line..=d.last_line {
             shapes.insert(phys, shape);
         }
     }
@@ -460,25 +441,6 @@ pub fn token_region_line(shapes: &BTreeMap<u32, LineShape>, line: u32) -> Option
             }
         }
     }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -676,5 +638,378 @@ mod tests {
         assert_eq!(token_class(Some(&fr), &shapes, 4), None);
         // Missing file report → no verdict.
         assert_eq!(token_class(None, &shapes, 1), None);
+    }
+}
+
+/// Characterisation of every reader of `#if` structure over one table of
+/// source shapes.
+///
+/// Each row is a small file; its answer sheet records, per physical
+/// line, what the Table IV classifier, the pre-compilation warnings, the
+/// cross-check's line shapes and the reach analyzer say, plus the
+/// file-level answers (both-branches pairs, branch wants, presence
+/// conditions of includes). The sheets pin the readers against each
+/// other: a change to how conditional structure is walked must leave
+/// every sheet as it is.
+#[cfg(test)]
+mod shapes {
+    use super::line_shapes;
+    use crate::classify::{classify, detect_both_branches};
+    use crate::covsel::branch_wants;
+    use crate::precheck::precheck;
+    use crate::token::{MutationKind, MutationToken};
+    use jmake_cpp::analyze;
+    use jmake_diff::{diff_to_patch, DiffOptions};
+    use jmake_kbuild::SourceTree;
+    use jmake_kconfig::{DeadSymbols, KconfigModel};
+    use jmake_reach::{analyze_file, Reach, ReachEnv};
+    use std::fmt::Write;
+
+    const KCONFIG: &str = "config A\n\tbool \"a\"\nconfig B\n\tbool \"b\"\nconfig C\n\tbool \"c\"\n\tdepends on !B\nconfig NET\n\tbool \"n\"\n";
+
+    /// The answer sheet of `src`, stored at `path` (a `.h` path is included
+    /// from a compiled `main.c`).
+    fn answers(path: &str, src: &str) -> String {
+        let mut model = KconfigModel::new();
+        model
+            .parse_str("Kconfig", KCONFIG)
+            .expect("fixture Kconfig parses");
+        let dead = DeadSymbols::compute(&model);
+        let allyes = model.allyesconfig();
+        let allmod = model.allmodconfig();
+
+        let mut tree = SourceTree::new();
+        tree.insert("Kconfig", KCONFIG);
+        tree.insert("arch/x86_64/Kconfig", "config X86_64\n\tdef_bool y\n");
+        if path.ends_with(".h") {
+            tree.insert("Makefile", "obj-y += main.o\n");
+            tree.insert("main.c", format!("#include \"{path}\"\nint m;\n"));
+        } else {
+            tree.insert(
+                "Makefile",
+                format!("obj-y += {}\n", path.replace(".c", ".o")),
+            );
+        }
+        tree.insert(path, src);
+        let mut reach = Reach::new(&tree);
+        reach.add_model("x86_64", model.clone());
+        reach.add_env(ReachEnv {
+            label: "x86_64-allyes".into(),
+            arch: "x86_64".into(),
+            config: allyes.clone(),
+            allyes: true,
+        });
+        reach.add_env(ReachEnv {
+            label: "x86_64-allmod".into(),
+            arch: "x86_64".into(),
+            config: allmod,
+            allyes: false,
+        });
+        let treach = reach.analyze_files(&[path.to_string()]);
+        let fr = &treach.files[path];
+        let map = analyze(src);
+        let fa = analyze_file(src);
+        let shapes = line_shapes(src);
+
+        let n = src.lines().count() as u32;
+        let tok = |line| MutationToken::new(MutationKind::Context, path, line);
+        let changed = |lines: &[u32]| {
+            let old: String = src
+                .lines()
+                .enumerate()
+                .map(|(i, l)| {
+                    if lines.contains(&(i as u32 + 1)) {
+                        format!("old_{}\n", i + 1)
+                    } else {
+                        format!("{l}\n")
+                    }
+                })
+                .collect();
+            let patch = diff_to_patch(path, &old, src, &DiffOptions::default());
+            let fp = patch.files.into_iter().next().expect("lines differ");
+            let warnings: Vec<String> = precheck(&fp, src)
+                .iter()
+                .map(|w| format!("{:?}{:?}", w.kind, w.lines))
+                .collect();
+            or_dash(&warnings)
+        };
+
+        let mut out = String::new();
+        for (i, text) in src.lines().enumerate() {
+            let line = i as u32 + 1;
+            let reason = classify(&tok(line), &map, &model, &dead, &allyes, true);
+            writeln!(
+                out,
+                "{line} {text:?} | {reason:?} | {:?} | {} | {:?} | {}",
+                fr.class(line).expect("line classified"),
+                fa.conds[i],
+                shapes.get(&line),
+                changed(&[line]),
+            )
+            .unwrap();
+        }
+        let past_eof = classify(&tok(n + 1), &map, &model, &dead, &allyes, true);
+        writeln!(out, "past eof | {past_eof:?}").unwrap();
+        let mut both = Vec::new();
+        let mut pairs_warned = Vec::new();
+        for a in 1..=n {
+            for b in a + 1..=n {
+                if detect_both_branches(&map, &[&tok(a), &tok(b)]) {
+                    both.push((a, b));
+                }
+                let w = changed(&[a, b]);
+                if w.contains("BothBranches") {
+                    pairs_warned.push((a, b));
+                }
+            }
+        }
+        writeln!(out, "both branches | {both:?}").unwrap();
+        writeln!(out, "precheck pairs | {pairs_warned:?}").unwrap();
+        let all: Vec<u32> = (1..=n).collect();
+        writeln!(out, "precheck all | {}", changed(&all)).unwrap();
+        let wants: Vec<String> = branch_wants(src)
+            .iter()
+            .map(|w| format!("{}{}", w.var, if w.on { '+' } else { '-' }))
+            .collect();
+        writeln!(out, "wants | {}", or_dash(&wants)).unwrap();
+        writeln!(out, "balanced {} guard {:?}", fa.balanced, fa.guard).unwrap();
+        for inc in &fa.includes {
+            writeln!(
+                out,
+                "include {:?} quoted {} | {}",
+                inc.path, inc.quoted, inc.cond
+            )
+            .unwrap();
+        }
+        out
+    }
+
+    fn or_dash(items: &[String]) -> String {
+        if items.is_empty() {
+            "-".to_string()
+        } else {
+            items.join(" ")
+        }
+    }
+
+    #[track_caller]
+    fn check(path: &str, src: &str, want: &str) {
+        let got = answers(path, src);
+        assert_eq!(got, want, "answer sheet for {src:?} drifted:\n{got}");
+    }
+
+    const NESTED_ELIF: &str = "int top;\n#ifdef CONFIG_A\nint a;\n#if defined(CONFIG_B)\nint ab;\n#elif defined(CONFIG_C)\nint ac;\n#else\nint a_else;\n#endif\n#elif CONFIG_B\n#include \"b.h\"\n#else\nint none;\n#endif\n#ifndef CONFIG_NET\nint nonet;\n#else\nint net;\n#endif\n#ifdef MODULE\nint mod;\n#endif\n#ifdef CONFIG_GHOST\nint ghost;\n#endif\n";
+    const STRAY_ELSE: &str = "int x;\n#else\nint y;\n#endif\nint z;\n";
+    const STRAY_ENDIF: &str = "#ifdef CONFIG_A\nint a;\n#endif\n#endif\nint z;\n";
+    const UNTERMINATED: &str = "int x;\n#ifdef CONFIG_A\nint a;\n#else\nint b;\n";
+    const CONTINUED: &str = "#if defined(CONFIG_A) && \\\n    defined(CONFIG_B)\nint ab;\n#elif \\\n  defined(CONFIG_C)\nint c;\n#else\n#define M(x) \\\n  ((x) + 1)\nint d;\n#endif \\\nint spliced;\nint after;\n";
+    const INCLUDE_GUARD: &str =
+        "#ifndef S_H\n#define S_H\n#ifdef CONFIG_A\nint a;\n#else\nint na;\n#endif\nint s;\n#endif\n\n";
+    const IF_PAREN_ZERO: &str =
+        "#if (0)\nint dead;\n#else\nint live;\n#endif\n#if 0 /* off */\nint dead2;\n#endif\n";
+    const DEFINED_NO_PARENS: &str = "#if defined CONFIG_A\nint a;\n#else\nint na;\n#endif\n#if !defined(CONFIG_B)\nint nb;\n#endif\n#if defined(CONFIG_A) && defined(CONFIG_C)\nint ac;\n#endif\n";
+
+    #[test]
+    fn nested_groups_and_elif_chains() {
+        check(
+            "s.c",
+            NESTED_ELIF,
+            r##"1 "int top;" | Unknown | AllyesReachable | 1 | None | -
+2 "#ifdef CONFIG_A" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 2, multi: false }) | -
+3 "int a;" | Unknown | AllyesReachable | defined(CONFIG_A) | None | -
+4 "#if defined(CONFIG_B)" | Unknown | AllyesReachable | defined(CONFIG_A) | Some(OpensFresh { end: 4, multi: false }) | -
+5 "int ab;" | Unknown | AllyesReachable | (defined(CONFIG_A) && defined(CONFIG_B)) | None | -
+6 "#elif defined(CONFIG_C)" | IfndefOrElse | AllyesReachable | defined(CONFIG_A) | Some(Opens { end: 6, multi: false }) | -
+7 "int ac;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": Y, "B": N, "C": Y})) } | (defined(CONFIG_A) && (!defined(CONFIG_B) && defined(CONFIG_C))) | None | -
+8 "#else" | IfndefOrElse | AllyesReachable | defined(CONFIG_A) | Some(Opens { end: 8, multi: false }) | -
+9 "int a_else;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": Y, "B": N, "C": N})) } | (defined(CONFIG_A) && (!defined(CONFIG_B) && !defined(CONFIG_C))) | None | -
+10 "#endif" | Unknown | AllyesReachable | defined(CONFIG_A) | Some(Closer) | -
+11 "#elif CONFIG_B" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 11, multi: false }) | -
+12 "#include \"b.h\"" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": Y})) } | (!defined(CONFIG_A) && defined(CONFIG_B)) | None | -
+13 "#else" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 13, multi: false }) | -
+14 "int none;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": N})) } | (!defined(CONFIG_A) && !defined(CONFIG_B)) | None | -
+15 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+16 "#ifndef CONFIG_NET" | IfndefOrElse | AllyesReachable | 1 | Some(OpensFresh { end: 16, multi: false }) | UnderIfndef[16]
+17 "int nonet;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"NET": N})) } | !defined(CONFIG_NET) | None | UnderIfndef[17]
+18 "#else" | Unknown | AllyesReachable | 1 | Some(Opens { end: 18, multi: false }) | -
+19 "int net;" | Unknown | AllyesReachable | defined(CONFIG_NET) | None | -
+20 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+21 "#ifdef MODULE" | IfdefModule | AllyesReachable | 1 | Some(OpensFresh { end: 21, multi: false }) | -
+22 "int mod;" | IfdefModule | Dead { proof: "constant-false" } | defined(MODULE) | None | -
+23 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+24 "#ifdef CONFIG_GHOST" | IfdefNeverSetInKernel | AllyesReachable | 1 | Some(OpensFresh { end: 24, multi: false }) | -
+25 "int ghost;" | IfdefNeverSetInKernel | Dead { proof: "undeclared symbol GHOST" } | defined(CONFIG_GHOST) | None | -
+26 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+past eof | Unknown
+both branches | [(2, 11), (2, 12), (2, 13), (2, 14), (3, 11), (3, 12), (3, 13), (3, 14), (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (10, 11), (10, 12), (10, 13), (10, 14), (16, 18), (16, 19), (17, 18), (17, 19)]
+precheck pairs | [(2, 11), (2, 12), (2, 13), (2, 14), (3, 11), (3, 12), (3, 13), (3, 14), (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (5, 8), (5, 9), (6, 8), (6, 9), (7, 8), (7, 9), (11, 13), (11, 14), (12, 13), (12, 14), (16, 18), (16, 19), (17, 18), (17, 19)]
+precheck all | BothBranches[2, 3, 11, 12, 13, 14] BothBranches[4, 5, 6, 7, 8, 9] BothBranches[16, 17, 18, 19] UnderIfndef[16, 17]
+wants | A- A+ B- B+ GHOST+ NET- NET+
+balanced true guard None
+include "b.h" quoted true | (!defined(CONFIG_A) && defined(CONFIG_B))
+"##,
+        );
+    }
+
+    #[test]
+    fn stray_else() {
+        check(
+            "s.c",
+            STRAY_ELSE,
+            r##"1 "int x;" | Unknown | ConditionallyReachable { witness: None } | 1 | None | -
+2 "#else" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(Opens { end: 2, multi: false }) | -
+3 "int y;" | Unknown | ConditionallyReachable { witness: None } | 1 | None | -
+4 "#endif" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(Closer) | -
+5 "int z;" | Unknown | ConditionallyReachable { witness: None } | 1 | None | -
+past eof | Unknown
+both branches | []
+precheck pairs | []
+precheck all | -
+wants | -
+balanced false guard None
+"##,
+        );
+    }
+
+    #[test]
+    fn stray_endif() {
+        check(
+            "s.c",
+            STRAY_ENDIF,
+            r##"1 "#ifdef CONFIG_A" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(OpensFresh { end: 1, multi: false }) | -
+2 "int a;" | Unknown | ConditionallyReachable { witness: None } | defined(CONFIG_A) | None | -
+3 "#endif" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(Closer) | -
+4 "#endif" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(Closer) | -
+5 "int z;" | Unknown | ConditionallyReachable { witness: None } | 1 | None | -
+past eof | Unknown
+both branches | []
+precheck pairs | []
+precheck all | -
+wants | A+
+balanced false guard None
+"##,
+        );
+    }
+
+    #[test]
+    fn unterminated_group() {
+        check(
+            "s.c",
+            UNTERMINATED,
+            r##"1 "int x;" | Unknown | ConditionallyReachable { witness: None } | 1 | None | -
+2 "#ifdef CONFIG_A" | Unknown | ConditionallyReachable { witness: None } | 1 | Some(OpensFresh { end: 2, multi: false }) | -
+3 "int a;" | Unknown | ConditionallyReachable { witness: None } | defined(CONFIG_A) | None | -
+4 "#else" | IfndefOrElse | ConditionallyReachable { witness: None } | 1 | Some(Opens { end: 4, multi: false }) | -
+5 "int b;" | IfndefOrElse | ConditionallyReachable { witness: None } | !defined(CONFIG_A) | None | -
+past eof | IfndefOrElse
+both branches | [(2, 4), (2, 5), (3, 4), (3, 5)]
+precheck pairs | [(2, 4), (2, 5), (3, 4), (3, 5)]
+precheck all | BothBranches[2, 3, 4, 5]
+wants | A- A+
+balanced false guard None
+"##,
+        );
+    }
+
+    #[test]
+    fn directives_continued_with_backslash() {
+        check(
+            "s.c",
+            CONTINUED,
+            r##"1 "#if defined(CONFIG_A) && \\" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 2, multi: true }) | -
+2 "    defined(CONFIG_B)" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 2, multi: true }) | -
+3 "int ab;" | Unknown | AllyesReachable | (defined(CONFIG_A) && defined(CONFIG_B)) | None | -
+4 "#elif \\" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 5, multi: true }) | -
+5 "  defined(CONFIG_C)" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 5, multi: true }) | -
+6 "int c;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": N, "C": Y})) } | (!(defined(CONFIG_A) && defined(CONFIG_B)) && defined(CONFIG_C)) | None | -
+7 "#else" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 7, multi: false }) | -
+8 "#define M(x) \\" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": N, "C": N})) } | (!(defined(CONFIG_A) && defined(CONFIG_B)) && !defined(CONFIG_C)) | None | -
+9 "  ((x) + 1)" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": N, "C": N})) } | (!(defined(CONFIG_A) && defined(CONFIG_B)) && !defined(CONFIG_C)) | None | -
+10 "int d;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N, "B": N, "C": N})) } | (!(defined(CONFIG_A) && defined(CONFIG_B)) && !defined(CONFIG_C)) | None | -
+11 "#endif \\" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+12 "int spliced;" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+13 "int after;" | Unknown | AllyesReachable | 1 | None | -
+past eof | Unknown
+both branches | [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10)]
+precheck pairs | [(1, 4), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (2, 9), (2, 10), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (4, 7), (4, 8), (4, 9), (4, 10), (5, 7), (5, 8), (5, 9), (5, 10), (6, 7), (6, 8), (6, 9), (6, 10)]
+precheck all | BothBranches[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+wants | -
+balanced true guard None
+"##,
+        );
+    }
+
+    #[test]
+    fn include_guard() {
+        check(
+            "s.h",
+            INCLUDE_GUARD,
+            r##"1 "#ifndef S_H" | IfndefOrElse | AllyesReachable | 1 | Some(OpensFresh { end: 1, multi: false }) | UnderIfndef[1]
+2 "#define S_H" | IfndefOrElse | AllyesReachable | 1 | None | UnderIfndef[2]
+3 "#ifdef CONFIG_A" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 3, multi: false }) | -
+4 "int a;" | Unknown | AllyesReachable | defined(CONFIG_A) | None | -
+5 "#else" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 5, multi: false }) | -
+6 "int na;" | IfndefOrElse | ConditionallyReachable { witness: None } | !defined(CONFIG_A) | None | -
+7 "#endif" | IfndefOrElse | AllyesReachable | 1 | Some(Closer) | -
+8 "int s;" | IfndefOrElse | AllyesReachable | 1 | None | UnderIfndef[8]
+9 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+10 "" | Unknown | AllyesReachable | 1 | None | -
+past eof | Unknown
+both branches | [(3, 5), (3, 6), (4, 5), (4, 6)]
+precheck pairs | [(3, 5), (3, 6), (4, 5), (4, 6)]
+precheck all | BothBranches[3, 4, 5, 6] UnderIfndef[1, 2, 8]
+wants | A- A+
+balanced true guard Some("S_H")
+"##,
+        );
+    }
+
+    #[test]
+    fn if_paren_zero() {
+        check(
+            "s.c",
+            IF_PAREN_ZERO,
+            r##"1 "#if (0)" | IfZero | AllyesReachable | 1 | Some(OpensFresh { end: 1, multi: false }) | UnderIfZero[1]
+2 "int dead;" | IfZero | Dead { proof: "constant-false" } | 0 | None | UnderIfZero[2]
+3 "#else" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 3, multi: false }) | -
+4 "int live;" | IfndefOrElse | AllyesReachable | 1 | None | -
+5 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+6 "#if 0 /* off */" | IfZero | AllyesReachable | 1 | Some(OpensFresh { end: 6, multi: false }) | UnderIfZero[6]
+7 "int dead2;" | IfZero | Dead { proof: "constant-false" } | 0 | None | UnderIfZero[7]
+8 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+past eof | Unknown
+both branches | [(1, 3), (1, 4), (2, 3), (2, 4)]
+precheck pairs | [(1, 3), (1, 4), (2, 3), (2, 4)]
+precheck all | BothBranches[1, 2, 3, 4] UnderIfZero[1, 2, 6, 7]
+wants | -
+balanced true guard None
+"##,
+        );
+    }
+
+    #[test]
+    fn if_defined_without_parens() {
+        check(
+            "s.c",
+            DEFINED_NO_PARENS,
+            r##"1 "#if defined CONFIG_A" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 1, multi: false }) | -
+2 "int a;" | Unknown | AllyesReachable | defined(CONFIG_A) | None | -
+3 "#else" | IfndefOrElse | AllyesReachable | 1 | Some(Opens { end: 3, multi: false }) | -
+4 "int na;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"A": N})) } | !defined(CONFIG_A) | None | -
+5 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+6 "#if !defined(CONFIG_B)" | IfndefOrElse | AllyesReachable | 1 | Some(OpensFresh { end: 6, multi: false }) | -
+7 "int nb;" | IfndefOrElse | ConditionallyReachable { witness: Some(Pins({"B": N})) } | !defined(CONFIG_B) | None | -
+8 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+9 "#if defined(CONFIG_A) && defined(CONFIG_C)" | Unknown | AllyesReachable | 1 | Some(OpensFresh { end: 9, multi: false }) | -
+10 "int ac;" | Unknown | ConditionallyReachable { witness: Some(Pins({"A": Y, "C": Y})) } | (defined(CONFIG_A) && defined(CONFIG_C)) | None | -
+11 "#endif" | Unknown | AllyesReachable | 1 | Some(Closer) | -
+past eof | Unknown
+both branches | [(1, 3), (1, 4), (2, 3), (2, 4)]
+precheck pairs | [(1, 3), (1, 4), (2, 3), (2, 4)]
+precheck all | BothBranches[1, 2, 3, 4]
+wants | A- A+
+balanced true guard None
+"##,
+        );
     }
 }

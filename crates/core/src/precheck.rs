@@ -17,7 +17,7 @@
 //! [`precheck`] reports them so an interactive user can decide whether to
 //! spend compilations at all.
 
-use jmake_cpp::lines::logical_lines;
+use jmake_cpp::{analyze, BranchId, CondDirective, CondKind};
 use jmake_diff::{changed_lines, ChangedLine, FilePatch};
 use std::fmt;
 
@@ -75,75 +75,27 @@ pub fn precheck(patch: &FilePatch, content: &str) -> Vec<PrecheckWarning> {
         return Vec::new();
     }
 
-    // Walk the conditional structure once, recording for each changed
-    // line the innermost group id, branch index, and guard kind.
-    #[derive(Clone)]
-    struct Frame {
-        group: u32,
-        /// 0 for the `#if` arm, 1 for the first `#elif`/`#else`, 2 for the
-        /// next, … Branches of one group are mutually exclusive, so changes
-        /// in two *distinct* branch indices — not merely "if side vs else
-        /// side" — are what no single configuration can cover.
-        branch: u32,
-        ifndef: bool,
-        if_zero: bool,
-    }
-    let mut stack: Vec<Frame> = Vec::new();
-    let mut next_group = 0u32;
-    // (line, group, branch, ifndef, if_zero)
-    let mut located: Vec<(u32, u32, u32, bool, bool)> = Vec::new();
-    let mut line_idx = 0usize;
-    for ll in logical_lines(content) {
-        let directive = ll.directive();
-        let mut attribute = true;
-        if let Some((name, rest)) = directive {
-            match name {
-                "if" | "ifdef" | "ifndef" => {
-                    stack.push(Frame {
-                        group: next_group,
-                        branch: 0,
-                        ifndef: name == "ifndef",
-                        if_zero: name == "if" && is_literal_zero(rest),
-                    });
-                    next_group += 1;
-                }
-                "elif" | "else" => {
-                    if let Some(top) = stack.last_mut() {
-                        top.branch += 1;
-                    }
-                }
-                "endif" => {
-                    // A changed `#endif` is processed by the preprocessor
-                    // whatever branch is live; attributing it to a branch
-                    // (or, after an eager pop, to the *enclosing* frame)
-                    // fabricates branch changes. Attribute it to nothing,
-                    // and pop only after this logical line's attribution.
-                    attribute = false;
-                }
-                _ => {}
-            }
-        }
-        // Attribute every physical line of this logical line.
-        while line_idx < changed_lines.len() {
-            let l = changed_lines[line_idx];
-            if l < ll.first_line {
-                line_idx += 1;
-                continue;
-            }
-            if l > ll.last_line {
-                break;
-            }
-            if attribute {
-                if let Some(top) = stack.last() {
-                    located.push((l, top.group, top.branch, top.ifndef, top.if_zero));
-                }
-            }
-            line_idx += 1;
-        }
-        if matches!(directive, Some(("endif", _))) {
-            stack.pop();
-        }
-    }
+    // For each changed line: the innermost group, the branch index (0 for
+    // the `#if` arm, 1 for the first `#elif`/`#else`, …), and the guard
+    // kind. Branches of one group are mutually exclusive, so changes in
+    // two *distinct* branch indices — not merely "if side vs else side" —
+    // are what no single configuration can cover. An opener, `#elif` or
+    // `#else` counts in the branch it opens. A changed `#endif` is
+    // processed by the preprocessor whatever branch is live; attributing
+    // it to a branch (or to the enclosing one) would fabricate branch
+    // changes, so it counts nowhere.
+    let map = analyze(content);
+    let conds = &map.cond_map;
+    let located: Vec<(u32, BranchId)> = changed_lines
+        .iter()
+        .filter(|&&l| l as usize <= map.len())
+        .filter(|&&l| {
+            conds
+                .directive_at(l)
+                .is_none_or(|d| d.kind != CondKind::Endif)
+        })
+        .filter_map(|&l| Some((l, conds.branch_of(l)?)))
+        .collect();
 
     let mut warnings = Vec::new();
     // Both-branches: a group with changed lines in two or more distinct
@@ -151,8 +103,8 @@ pub fn precheck(patch: &FilePatch, content: &str) -> Vec<PrecheckWarning> {
     // and two different #elif arms alike.
     let mut by_group: std::collections::BTreeMap<u32, Vec<(u32, u32)>> =
         std::collections::BTreeMap::new();
-    for (l, g, branch, ..) in &located {
-        by_group.entry(*g).or_default().push((*branch, *l));
+    for (l, b) in &located {
+        by_group.entry(b.group).or_default().push((b.branch, *l));
     }
     for group_lines in by_group.values() {
         let branches: std::collections::BTreeSet<u32> =
@@ -168,52 +120,30 @@ pub fn precheck(patch: &FilePatch, content: &str) -> Vec<PrecheckWarning> {
             });
         }
     }
-    // Ifndef / if-0 warnings (skip later branches of an ifndef — those
-    // are the positively-guarded arms).
-    let ifndef_lines: Vec<u32> = located
-        .iter()
-        .filter(|(_, _, branch, ifndef, _)| *ifndef && *branch == 0)
-        .map(|(l, ..)| *l)
-        .collect();
-    if !ifndef_lines.is_empty() {
-        warnings.push(PrecheckWarning {
-            path: patch.path().to_string(),
-            kind: PrecheckKind::UnderIfndef,
-            lines: ifndef_lines,
-        });
-    }
-    let zero_lines: Vec<u32> = located
-        .iter()
-        .filter(|(_, _, branch, _, if_zero)| *if_zero && *branch == 0)
-        .map(|(l, ..)| *l)
-        .collect();
-    if !zero_lines.is_empty() {
-        warnings.push(PrecheckWarning {
-            path: patch.path().to_string(),
-            kind: PrecheckKind::UnderIfZero,
-            lines: zero_lines,
-        });
+    // Ifndef / if-0 warnings: lines in the first branch only (the later
+    // branches of an ifndef are the positively-guarded arms).
+    let ifndef = |d: &CondDirective| d.kind == CondKind::Ifndef;
+    for (kind, under) in [
+        (
+            PrecheckKind::UnderIfndef,
+            ifndef as fn(&CondDirective) -> bool,
+        ),
+        (PrecheckKind::UnderIfZero, CondDirective::is_if_zero),
+    ] {
+        let lines: Vec<u32> = located
+            .iter()
+            .filter(|(_, b)| b.branch == 0 && under(conds.opener(b.group)))
+            .map(|(l, _)| *l)
+            .collect();
+        if !lines.is_empty() {
+            warnings.push(PrecheckWarning {
+                path: patch.path().to_string(),
+                kind,
+                lines,
+            });
+        }
     }
     warnings
-}
-
-/// Is the `#if` condition a literal constant zero? `logical_lines`
-/// already strips comments, but be robust to residue like
-/// `0 /* disabled */` or a parenthesized `(0)` either way.
-fn is_literal_zero(rest: &str) -> bool {
-    let mut s = rest.trim();
-    if let Some(i) = s.find("/*") {
-        s = s[..i].trim_end();
-    }
-    if let Some(i) = s.find("//") {
-        s = s[..i].trim_end();
-    }
-    let s = s
-        .strip_prefix('(')
-        .and_then(|t| t.strip_suffix(')'))
-        .map(str::trim)
-        .unwrap_or(s);
-    s == "0"
 }
 
 #[cfg(test)]
@@ -315,15 +245,6 @@ mod tests {
         let w = precheck(&fp, &content);
         assert_eq!(w.len(), 1, "{w:?}");
         assert_eq!(w[0].kind, PrecheckKind::UnderIfZero);
-
-        // Also via the helper directly: parens and // comments.
-        assert!(is_literal_zero("0"));
-        assert!(is_literal_zero("0 /* why */"));
-        assert!(is_literal_zero("0 // why"));
-        assert!(is_literal_zero("(0)"));
-        assert!(!is_literal_zero("1"));
-        assert!(!is_literal_zero("0x0 + 0"));
-        assert!(!is_literal_zero("CONFIG_FOO"));
     }
 
     #[test]

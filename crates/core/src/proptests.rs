@@ -3,7 +3,7 @@
 use crate::mutation::{mutate, mutate_naive};
 use crate::precheck::precheck;
 use crate::token::MutationToken;
-use jmake_cpp::{MapResolver, Preprocessor};
+use jmake_cpp::{analyze, MapResolver, Preprocessor};
 use jmake_diff::{diff_to_patch, ChangedLine, ChangedLines, DiffOptions};
 use proptest::prelude::*;
 
@@ -183,6 +183,35 @@ proptest! {
                 sorted.sort_unstable();
                 sorted.dedup();
                 prop_assert_eq!(&sorted, &w.lines, "lines not sorted+deduped");
+            }
+        }
+    }
+
+    /// The conditional map survives any directive soup: it never panics,
+    /// agrees with a plain depth count on whether the
+    /// soup balances, and calls it unbalanced behind a stray `#endif` or
+    /// ahead of an unclosed `#if 0`.
+    #[test]
+    fn cond_map_reports_unbalanced_soups(soup in conditional_soup()) {
+        let mut depth = Some(0u32);
+        for line in soup.lines() {
+            depth = depth.and_then(|d| {
+                let name = line.trim_start_matches('#').split_whitespace().next();
+                match name {
+                    _ if !line.starts_with('#') => Some(d),
+                    Some("if" | "ifdef" | "ifndef") => Some(d + 1),
+                    Some("elif" | "else") => (d > 0).then_some(d),
+                    _ => d.checked_sub(1),
+                }
+            });
+        }
+        prop_assert_eq!(analyze(&soup).cond_map.balanced, depth == Some(0));
+        for src in [format!("#endif\n{soup}"), format!("{soup}#if 0\n")] {
+            let map = analyze(&src);
+            let conds = &map.cond_map;
+            prop_assert!(!conds.balanced, "{}", src);
+            for line in 0..=map.len() as u32 + 1 {
+                prop_assert!(conds.chain(conds.branch_of(line)).count() <= conds.groups.len());
             }
         }
     }

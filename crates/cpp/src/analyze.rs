@@ -7,8 +7,11 @@
 //! `#define` line ends in a continuation backslash and whether a changed
 //! line starts inside a comment that closes on that line.
 //!
-//! [`analyze`] computes all of that in one pass, per physical line.
+//! [`analyze`] computes all of that in one pass, per physical line, and
+//! records the file's conditional structure ([`CondMap`]) and literal
+//! `#include` lines in the same pass.
 
+use crate::condmap::{CondMap, CondMapBuilder};
 use crate::lines::logical_lines;
 
 /// Lexical facts about one physical source line.
@@ -53,6 +56,17 @@ impl MacroDefSpan {
     }
 }
 
+/// A literal `#include "p"` or `#include <p>` line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IncludeLine {
+    /// Path text between the delimiters.
+    pub target: String,
+    /// `"..."` (true) vs `<...>` (false).
+    pub quoted: bool,
+    /// 1-based first physical line of the directive.
+    pub line: u32,
+}
+
 /// The full lexical map of a source file.
 #[derive(Debug, Clone, Default)]
 pub struct SourceMap {
@@ -60,6 +74,11 @@ pub struct SourceMap {
     pub lines: Vec<LineInfo>,
     /// All macro definitions, in source order.
     pub macro_defs: Vec<MacroDefSpan>,
+    /// The `#if` group structure.
+    pub cond_map: CondMap,
+    /// Literal `#include` lines in source order; a computed include
+    /// (`#include MACRO`) is not listed.
+    pub includes: Vec<IncludeLine>,
 }
 
 impl SourceMap {
@@ -92,11 +111,14 @@ pub fn analyze(src: &str) -> SourceMap {
     // Directive and macro-definition facts come from logical lines, which
     // already splice continuations and strip comments.
     let mut macro_defs = Vec::new();
+    let mut includes = Vec::new();
+    let mut conds = CondMapBuilder::new(lines.len());
     for ll in logical_lines(src) {
-        if !ll.is_directive() {
+        let directive = ll.directive();
+        conds.push(&ll, directive);
+        let Some((name, rest)) = directive else {
             continue;
-        }
-        let (name, rest) = ll.directive().unwrap_or(("", ""));
+        };
         let first = ll.first_line as usize - 1;
         let last = (ll.last_line as usize - 1).min(lines.len().saturating_sub(1));
         for info in &mut lines[first..=last] {
@@ -105,6 +127,15 @@ pub fn analyze(src: &str) -> SourceMap {
         if matches!(name, "if" | "ifdef" | "ifndef" | "elif" | "else") {
             let anchor = conditional_anchor(src, &lines, first, last);
             lines[anchor].is_conditional = true;
+        }
+        if name == "include" {
+            if let Some((target, quoted)) = literal_include(rest) {
+                includes.push(IncludeLine {
+                    target: target.to_string(),
+                    quoted,
+                    line: ll.first_line,
+                });
+            }
         }
         if name == "define" {
             let macro_name: String = rest
@@ -164,7 +195,22 @@ pub fn analyze(src: &str) -> SourceMap {
         def.end_line = end as u32 + 1;
     }
 
-    SourceMap { lines, macro_defs }
+    SourceMap {
+        lines,
+        macro_defs,
+        cond_map: conds.finish(),
+        includes,
+    }
+}
+
+/// `"p"` / `<p>` at the start of an `#include` operand → (path, quoted).
+fn literal_include(rest: &str) -> Option<(&str, bool)> {
+    let t = rest.trim();
+    if let Some(r) = t.strip_prefix('"') {
+        return Some((&r[..r.find('"')?], true));
+    }
+    let r = t.strip_prefix('<')?;
+    Some((&r[..r.find('>')?], false))
 }
 
 /// Physical line (0-based index into `lines`) that carries the `#` of a

@@ -27,7 +27,11 @@
 //!   that makes a mutated file fail to produce a `.o`;
 //! - [`analyze()`] — the lexical source map the mutation
 //!   engine needs (paper §III.B): comment spans, macro-definition line
-//!   ranges, conditional-compilation directive lines.
+//!   ranges, conditional-compilation directive lines, and the
+//!   [`CondMap`] of `#if` groups and branches every reader of conditional
+//!   structure shares;
+//! - [`include_candidates`] — the one `#include` lookup order every
+//!   resolver follows.
 //!
 //! # Example
 //!
@@ -43,6 +47,7 @@
 
 pub mod analyze;
 pub mod cond;
+pub mod condmap;
 pub mod error;
 pub mod expand;
 pub mod expr;
@@ -54,12 +59,15 @@ pub mod preprocess;
 pub mod syntax;
 pub mod token;
 
-pub use analyze::{analyze, LineInfo, MacroDefSpan, SourceMap};
+pub use analyze::{analyze, IncludeLine, LineInfo, MacroDefSpan, SourceMap};
+pub use condmap::{BranchId, CondDirective, CondGroup, CondKind, CondMap};
 pub use error::{CppError, SyntaxError};
 pub use lexer::lex;
 pub use macros::{MacroDef, MacroTable};
 pub use memo::{IncludeEffect, IncludeKey, IncludeMemo, MacroEvent};
-pub use preprocess::{IncludeResolver, MapResolver, PreprocessOutput, Preprocessor};
+pub use preprocess::{
+    include_candidates, IncludeResolver, MapResolver, PreprocessOutput, Preprocessor,
+};
 pub use syntax::validate;
 pub use token::{Token, TokenKind};
 

@@ -47,8 +47,10 @@ impl MapResolver {
 
     /// Add (or replace) a file.
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<String>) {
+        let path: String = path.into();
         let content: String = content.into();
-        self.files.insert(normalize(&path.into()), content.into());
+        let path = normalize(path.clone()).unwrap_or(path);
+        self.files.insert(path, content.into());
     }
 
     /// Append an include search path (like `-I`).
@@ -58,7 +60,7 @@ impl MapResolver {
 
     /// Borrow a file's content by canonical path.
     pub fn get(&self, path: &str) -> Option<&str> {
-        self.files.get(&normalize(path)).map(|c| &**c)
+        self.files.get(&normalize(path.to_string())?).map(|c| &**c)
     }
 }
 
@@ -69,30 +71,37 @@ impl IncludeResolver for MapResolver {
         quoted: bool,
         including_file: &str,
     ) -> Option<(String, Arc<str>)> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = match including_file.rsplit_once('/') {
-                Some((d, _)) => d,
-                None => "",
-            };
-            candidates.push(if dir.is_empty() {
-                target.to_string()
-            } else {
-                format!("{dir}/{target}")
-            });
-        }
-        for sp in &self.search_paths {
-            candidates.push(format!("{sp}/{target}"));
-        }
-        candidates.push(target.to_string());
-        for c in candidates {
-            let c = normalize(&c);
-            if let Some(content) = self.files.get(&c) {
-                return Some((c, Arc::clone(content)));
-            }
-        }
-        None
+        include_candidates(target, quoted, including_file, &self.search_paths)
+            .find_map(|c| self.files.get(&c).map(|content| (c, Arc::clone(content))))
     }
+}
+
+/// The paths an `#include` target may name, in lookup order: for a quoted
+/// include the including file's directory, then each search path, then
+/// the target as written. Every resolver in the workspace walks this one
+/// order, so the preprocessor and anything that predicts what it reads
+/// (include-closure fingerprints, static reachability) agree.
+///
+/// Each candidate is normalized the way a file system resolves it, as gcc
+/// opens it: `.` and empty segments vanish and `..` drops the segment
+/// before it. A candidate whose `..` climbs above the tree root names no
+/// file in the tree and is skipped.
+pub fn include_candidates<'a, S: AsRef<str>>(
+    target: &'a str,
+    quoted: bool,
+    including_file: &'a str,
+    search_paths: &'a [S],
+) -> impl Iterator<Item = String> + 'a {
+    let own_dir = quoted.then(|| including_file.rsplit_once('/').map_or("", |(d, _)| d));
+    own_dir
+        .into_iter()
+        .chain(search_paths.iter().map(AsRef::as_ref))
+        .map(move |dir| match dir {
+            "" => target.to_string(),
+            dir => format!("{dir}/{target}"),
+        })
+        .chain(std::iter::once(target.to_string()))
+        .filter_map(normalize)
 }
 
 /// First identifier of a directive operand (`#ifdef NAME`, `#undef NAME`).
@@ -109,19 +118,23 @@ fn first_ident(rest: &str) -> Option<String> {
     }
 }
 
-/// Normalize `a/./b/../c` to `a/c`.
-fn normalize(path: &str) -> String {
+/// Normalize `a/./b/../c` to `a/c`; `None` when `..` climbs above the
+/// root.
+fn normalize(path: String) -> Option<String> {
+    if !path.split('/').any(|seg| matches!(seg, "" | "." | "..")) {
+        return Some(path);
+    }
     let mut parts: Vec<&str> = Vec::new();
     for seg in path.split('/') {
         match seg {
             "" | "." => {}
             ".." => {
-                parts.pop();
+                parts.pop()?;
             }
             s => parts.push(s),
         }
     }
-    parts.join("/")
+    Some(parts.join("/"))
 }
 
 /// Everything produced by one preprocessing run.
@@ -859,6 +872,34 @@ mod tests {
                 "include/linux/kernel.h".to_string(),
                 "drivers/net/local.h".to_string()
             ]
+        );
+    }
+
+    #[test]
+    fn include_candidates_follow_one_order_and_collapse_dot_dot() {
+        let search = ["include", "arch/x86/include"];
+        let quoted: Vec<String> =
+            include_candidates("../common/h.h", true, "lib/main.c", &search).collect();
+        // `include/../common/h.h` is `common/h.h` too; `../common/h.h`
+        // as written climbs above the root and names nothing.
+        assert_eq!(
+            quoted,
+            vec!["common/h.h", "common/h.h", "arch/x86/common/h.h"]
+        );
+        let angle: Vec<String> =
+            include_candidates("linux/k.h", false, "lib/main.c", &search).collect();
+        assert_eq!(
+            angle,
+            vec![
+                "include/linux/k.h",
+                "arch/x86/include/linux/k.h",
+                "linux/k.h"
+            ]
+        );
+        let top: Vec<String> = include_candidates("./a.h", true, "main.c", &search).collect();
+        assert_eq!(
+            top,
+            vec!["a.h", "include/a.h", "arch/x86/include/a.h", "a.h"]
         );
     }
 

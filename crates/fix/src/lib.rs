@@ -46,7 +46,8 @@ use jmake_core::{
 use jmake_diff::{ChangedLine, ChangedLines};
 use jmake_kbuild::{BuildEngine, ConfigCache, ConfigKind, ObjectCache, PreprocCache, SourceTree};
 use jmake_kconfig::Tristate;
-use jmake_reach::{Reach, ReachClass, ReachEnv, TreeReach, Witness};
+use jmake_reach::{Reach, ReachClass, TreeReach, Witness};
+use jmake_trace::jsonl::escape;
 use jmake_trace::{Stage, Tracer};
 use jmake_vcs::Repo;
 use std::collections::{BTreeMap, BTreeSet};
@@ -262,18 +263,18 @@ impl FixReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(s));
+            out.push_str(&format!("\"{}\"", escape(s)));
         }
         out.push_str("],\n  \"disagreements\": [");
         for (i, d) in self.disagreements.iter().enumerate() {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"static\": {}, \"dynamic\": {}}}",
-                json_string(&d.commit),
-                json_string(&d.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"static\": \"{}\", \"dynamic\": \"{}\"}}",
+                escape(&d.commit),
+                escape(&d.file),
                 d.line,
-                json_string(&d.static_cause),
-                json_string(&d.dynamic)
+                escape(&d.static_cause),
+                escape(&d.dynamic)
             ));
         }
         if !self.disagreements.is_empty() {
@@ -284,24 +285,24 @@ impl FixReport {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             let remedy = match &r.remedy {
                 Remedy::Delta { suggestion, flips } => format!(
-                    "\"delta\", \"suggestion\": {}, \"flips\": {flips}",
-                    json_string(suggestion)
+                    "\"delta\", \"suggestion\": \"{}\", \"flips\": {flips}",
+                    escape(suggestion)
                 ),
                 Remedy::Environment { target } => {
-                    format!("\"environment\", \"target\": {}", json_string(target))
+                    format!("\"environment\", \"target\": \"{}\"", escape(target))
                 }
                 Remedy::Unfixable { reason } => {
-                    format!("\"unfixable\", \"reason\": {}", json_string(reason))
+                    format!("\"unfixable\", \"reason\": \"{}\"", escape(reason))
                 }
             };
             out.push_str(&format!(
-                "{{\"commit\": {}, \"file\": {}, \"line\": {}, \"arch\": {}, \"cause\": {}, \"dynamic\": {}, \"agrees\": {}, \"remedy\": {remedy}}}",
-                json_string(&r.commit),
-                json_string(&r.file),
+                "{{\"commit\": \"{}\", \"file\": \"{}\", \"line\": {}, \"arch\": \"{}\", \"cause\": \"{}\", \"dynamic\": \"{}\", \"agrees\": {}, \"remedy\": {remedy}}}",
+                escape(&r.commit),
+                escape(&r.file),
                 r.line,
-                json_string(&r.arch),
-                json_string(&r.cause),
-                json_string(&r.dynamic),
+                escape(&r.arch),
+                escape(&r.cause),
+                escape(&r.dynamic),
                 r.agrees
             ));
         }
@@ -411,23 +412,9 @@ fn arch_ctx<'t>(
     let allyes = engine
         .make_config(arch, &ConfigKind::AllYes)
         .map_err(|e| e.to_string())?;
-    let allmod = engine.make_config(arch, &ConfigKind::AllMod);
+    let allmod = engine.make_config(arch, &ConfigKind::AllMod).ok();
     let mut reach = Reach::new(tree);
-    reach.add_model(arch.to_string(), allyes.model.clone());
-    reach.add_env(ReachEnv {
-        label: format!("{arch}-allyes"),
-        arch: arch.to_string(),
-        config: allyes.config.clone(),
-        allyes: true,
-    });
-    if let Ok(am) = &allmod {
-        reach.add_env(ReachEnv {
-            label: format!("{arch}-allmod"),
-            arch: arch.to_string(),
-            config: am.config.clone(),
-            allyes: false,
-        });
-    }
+    reach.add_arch(arch, &allyes, allmod.as_deref());
     let treach = reach.analyze_files(paths);
     Ok(ArchCtx {
         engine,
@@ -856,25 +843,6 @@ fn verify_trial(
         .make_o(&cfg, tree, path)
         .map_err(|e| format!("make_o: {e}"))?;
     Ok(())
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use crate::objgraph::ObjGraph;
 use crate::ppcache::{PreprocCache, TreeMemo};
 use crate::tree::SourceTree;
 use jmake_cpp::{
-    validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput, Preprocessor,
-    SyntaxError,
+    include_candidates, validate, IncludeResolver, MacroDef, MacroTable, PreprocessOutput,
+    Preprocessor, SyntaxError,
 };
 use jmake_faults::{FaultKind, FaultSite, Faults};
 use jmake_kconfig::{Config, DeadSymbols, KconfigModel, Tristate};
@@ -340,10 +340,17 @@ pub struct IFile {
     pub includes: Vec<String>,
 }
 
+/// The kernel's `-I` list for `arch`: `include`, then
+/// `arch/<arch>/include`. The engine's resolver, the include-closure
+/// fingerprint and the reach analyzer all search these.
+pub fn include_search_paths(arch: &str) -> [String; 2] {
+    ["include".to_string(), format!("arch/{arch}/include")]
+}
+
 /// Resolver over a [`SourceTree`] with kernel-style include paths.
 struct TreeResolver<'t> {
     tree: &'t SourceTree,
-    search_paths: Vec<String>,
+    search_paths: [String; 2],
 }
 
 impl<'t> IncludeResolver for TreeResolver<'t> {
@@ -353,25 +360,8 @@ impl<'t> IncludeResolver for TreeResolver<'t> {
         quoted: bool,
         including_file: &str,
     ) -> Option<(String, Arc<str>)> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = crate::tree::dir_of(including_file);
-            candidates.push(if dir.is_empty() {
-                target.to_string()
-            } else {
-                format!("{dir}/{target}")
-            });
-        }
-        for sp in &self.search_paths {
-            candidates.push(format!("{sp}/{target}"));
-        }
-        candidates.push(target.to_string());
-        for c in candidates {
-            if let Some(blob) = self.tree.get_blob(&c) {
-                return Some((c, blob.shared_text()));
-            }
-        }
-        None
+        include_candidates(target, quoted, including_file, &self.search_paths)
+            .find_map(|c| self.tree.get_blob(&c).map(|blob| (c, blob.shared_text())))
     }
 }
 
@@ -1058,10 +1048,7 @@ fn preprocess_file(
 ) -> PreprocessOutput {
     let resolver = TreeResolver {
         tree,
-        search_paths: vec![
-            "include".to_string(),
-            format!("arch/{}/include", cfg.arch.name),
-        ],
+        search_paths: include_search_paths(cfg.arch.name),
     };
     let mut pp = Preprocessor::new(resolver);
     if let Some(memo) = memo {
@@ -1193,6 +1180,33 @@ mod tests {
             .includes
             .contains(&"include/linux/kernel.h".to_string()));
         assert_eq!(e.clock.samples.i_gen.len(), 1);
+    }
+
+    #[test]
+    fn dot_dot_include_resolves_in_the_engine_and_the_fingerprint() {
+        let mut tree = mini_kernel();
+        tree.insert("Makefile", "obj-y += drivers/ kernel/ lib/\n");
+        tree.insert("lib/Makefile", "obj-y += main.o\n");
+        tree.insert(
+            "lib/main.c",
+            "#include \"../common/helper.h\"\nint v = HELPER;\n",
+        );
+        tree.insert("common/helper.h", "#define HELPER 5\n");
+        let mut e = BuildEngine::new(tree.clone());
+        let cfg = e.make_config("x86_64", &ConfigKind::AllYes).unwrap();
+        let results = e.make_i(&cfg, &tree, &["lib/main.c".to_string()]).unwrap();
+        let ifile = results[0].1.as_ref().expect("lib/main.c preprocesses");
+        assert!(ifile.text.contains("int v = 5;"), "{}", ifile.text);
+        assert_eq!(ifile.includes, vec!["common/helper.h".to_string()]);
+
+        // The object-cache key must see the header the engine read.
+        let fp = include_fingerprint(&tree, "x86_64", "lib/main.c").unwrap();
+        let mut edited = tree;
+        edited.insert("common/helper.h", "#define HELPER 6\n");
+        assert_ne!(
+            fp,
+            include_fingerprint(&edited, "x86_64", "lib/main.c").unwrap()
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod tree;
 
 pub use arch::{Arch, ArchRegistry};
 pub use build::{
-    bootstrap_files_of, BuildConfig, BuildEngine, BuildError, ConfigKey,
+    bootstrap_files_of, include_search_paths, BuildConfig, BuildEngine, BuildError, ConfigKey,
     ConfigKind, IFile, IResults,
 };
 pub use cache::{CacheStats, ConfigCache};
@@ -55,6 +55,6 @@ pub use objcache::{
     include_fingerprint, CachedObj, ObjKind, ObjectCache, ObjectCacheStats, ObjectKey,
     VerifiedLookup,
 };
-pub use objgraph::ObjGraph;
+pub use objgraph::{is_structural, object_of, ObjGraph};
 pub use ppcache::{PreprocCache, PreprocCacheStats};
 pub use tree::{Blob, SourceTree};

@@ -29,10 +29,11 @@
 //! and per-stage virtual-µs total is bit-identical with the cache on or
 //! off. Only real wall-clock drops.
 
-use crate::build::{BuildError, IFile};
+use crate::build::{include_search_paths, BuildError, IFile};
 use crate::hash::{ContentHash, Fnv};
 use crate::store::{hit_rate, ShardKey, ShardedStore};
 use crate::tree::{IncludeScan, SourceTree};
+use jmake_cpp::include_candidates;
 use jmake_faults::{FaultKind, FaultSite, Faults};
 use jmake_trace::CacheOutcome;
 use std::collections::VecDeque;
@@ -308,9 +309,8 @@ fn entry_digest(entry: &CachedObj) -> u64 {
 
 /// Fingerprint everything preprocessing `file` can read *besides* the
 /// file's own content: the transitive closure of its literal `#include`
-/// targets, resolved exactly like the engine's resolver (the including
-/// file's directory for quoted includes, then `include/`,
-/// `arch/<arch>/include/`, then the raw path — no normalization).
+/// targets, resolved exactly like the engine's resolver
+/// ([`jmake_cpp::include_candidates`] over [`include_search_paths`]).
 ///
 /// Conditional compilation is over-approximated: both branches' includes
 /// are walked, so the closure is a superset of what any configuration
@@ -324,7 +324,7 @@ fn entry_digest(entry: &CachedObj) -> u64 {
 /// preprocessor expands but this lexical scan cannot) — such files are
 /// not cacheable.
 pub fn include_fingerprint(tree: &SourceTree, arch: &str, file: &str) -> Option<u64> {
-    let search_paths = ["include".to_string(), format!("arch/{arch}/include")];
+    let search_paths = include_search_paths(arch);
     let mut h = Fnv::new();
     let mut visited = std::collections::BTreeSet::new();
     let mut queue = VecDeque::new();
@@ -351,7 +351,9 @@ pub fn include_fingerprint(tree: &SourceTree, arch: &str, file: &str) -> Option<
             return None;
         }
         for (target, quoted) in &scan.targets {
-            match resolve_like_engine(tree, &search_paths, &path, target, *quoted) {
+            let resolved = include_candidates(target, *quoted, &path, &search_paths)
+                .find(|c| tree.contains(c));
+            match resolved {
                 Some(resolved) => {
                     if visited.insert(resolved.clone()) {
                         queue.push_back(resolved);
@@ -424,34 +426,6 @@ fn parse_include_target(line: &str) -> Option<Option<(&str, bool)>> {
     }
     // A macro-valued target — the preprocessor supports it, we cannot.
     None
-}
-
-/// Candidate order of the engine's `TreeResolver`, verbatim.
-fn resolve_like_engine(
-    tree: &SourceTree,
-    search_paths: &[String],
-    including_file: &str,
-    target: &str,
-    quoted: bool,
-) -> Option<String> {
-    if quoted {
-        let dir = crate::tree::dir_of(including_file);
-        let candidate = if dir.is_empty() {
-            target.to_string()
-        } else {
-            format!("{dir}/{target}")
-        };
-        if tree.contains(&candidate) {
-            return Some(candidate);
-        }
-    }
-    for sp in search_paths {
-        let candidate = format!("{sp}/{target}");
-        if tree.contains(&candidate) {
-            return Some(candidate);
-        }
-    }
-    tree.contains(target).then(|| target.to_string())
 }
 
 #[cfg(test)]

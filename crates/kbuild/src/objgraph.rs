@@ -115,7 +115,7 @@ impl<'t> ObjGraph<'t> {
 }
 
 /// The `.o` corresponding to a `.c` file.
-fn object_of(c_path: &str) -> String {
+pub fn object_of(c_path: &str) -> String {
     let name = file_name(c_path);
     match name.strip_suffix(".c") {
         Some(stem) => format!("{stem}.o"),
@@ -134,7 +134,7 @@ fn cond_value(cond: &Cond, config: &Config) -> Tristate {
 
 /// Directories whose descent Kbuild hardwires rather than listing in a
 /// parent object list: the tree root, `arch`, and each `arch/<a>`.
-fn is_structural(dir: &str) -> bool {
+pub fn is_structural(dir: &str) -> bool {
     dir.is_empty() || dir == "arch" || (dir.starts_with("arch/") && dir.matches('/').count() == 1)
 }
 

@@ -10,6 +10,7 @@
 //! three-valued so an `Unknown` leaf can still be absorbed by a decided
 //! `&&`/`||` sibling.
 
+use jmake_cpp::CondKind;
 use jmake_kconfig::{Config, Tristate};
 use std::collections::BTreeSet;
 
@@ -235,22 +236,21 @@ fn defined_under(config: &Config, name: &str) -> Truth {
     Truth::Unknown
 }
 
-/// Parse the controlling expression of `#<name> <rest>` into a
-/// [`CondExpr`]; returns `None` for directives that do not open or
-/// continue a conditional branch with an expression (`else`, `endif`,
-/// `define`, …).
-pub fn parse_directive(name: &str, rest: &str) -> Option<CondExpr> {
-    match name {
-        "ifdef" => Some(match first_ident(rest) {
+/// The test a conditional directive with operand `rest` adds to its
+/// branch, as a [`CondExpr`]. `#else` tests nothing (`True`); so does
+/// `#endif`, which opens no branch.
+pub fn parse_directive(kind: CondKind, rest: &str) -> CondExpr {
+    match kind {
+        CondKind::Ifdef => match first_ident(rest) {
             Some(id) => CondExpr::defined(id),
             None => CondExpr::Unknown,
-        }),
-        "ifndef" => Some(match first_ident(rest) {
+        },
+        CondKind::Ifndef => match first_ident(rest) {
             Some(id) => CondExpr::defined(id).negate(),
             None => CondExpr::Unknown,
-        }),
-        "if" | "elif" => Some(parse_if_expr(rest)),
-        _ => None,
+        },
+        CondKind::If | CondKind::Elif => parse_if_expr(rest),
+        CondKind::Else | CondKind::Endif => CondExpr::True,
     }
 }
 
@@ -496,14 +496,14 @@ mod tests {
     #[test]
     fn ifdef_and_ifndef() {
         assert_eq!(
-            parse_directive("ifdef", "CONFIG_NET"),
-            Some(CondExpr::defined("CONFIG_NET"))
+            parse_directive(CondKind::Ifdef, "CONFIG_NET"),
+            CondExpr::defined("CONFIG_NET")
         );
         assert_eq!(
-            parse_directive("ifndef", "CONFIG_NET"),
-            Some(CondExpr::defined("CONFIG_NET").negate())
+            parse_directive(CondKind::Ifndef, "CONFIG_NET"),
+            CondExpr::defined("CONFIG_NET").negate()
         );
-        assert_eq!(parse_directive("define", "X 1"), None);
+        assert_eq!(parse_directive(CondKind::Else, ""), CondExpr::True);
     }
 
     #[test]

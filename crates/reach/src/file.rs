@@ -1,13 +1,11 @@
-//! Per-file presence conditions: a symbolic walk over the conditional
-//! structure of one source file.
+//! Per-file presence conditions, read off the conditional map.
 //!
-//! The walk mirrors `jmake_cpp::cond::CondStack` — same logical-line
-//! stream (`logical_lines`, phases 2 and 3), same `#if`/`#ifdef`/
-//! `#elif`/`#else`/`#endif` branch bookkeeping — but instead of deciding
-//! each branch against one concrete macro table it keeps the conditions
-//! symbolic: every physical line gets the conjunction of the branch
-//! conditions that must hold for the preprocessor to emit (or even
-//! tokenize the body of) that line.
+//! [`jmake_cpp::analyze()`] records the file's `#if`/`#ifdef`/`#elif`/
+//! `#else`/`#endif` groups once ([`jmake_cpp::CondMap`]). Where the
+//! preprocessor decides each branch against one concrete macro table,
+//! this keeps the conditions symbolic: every physical line gets the
+//! conjunction of the branch conditions that must hold for the
+//! preprocessor to emit (or even tokenize the body of) that line.
 //!
 //! Directive lines themselves (`#if`, `#elif`, `#else`, `#endif`) are
 //! attributed to the *enclosing* region: the preprocessor reads them
@@ -15,8 +13,8 @@
 //! wins. That matches what the compiler "sees" and is the property the
 //! cross-check needs.
 
-use crate::cond::{parse_directive, parse_if_expr, CondExpr};
-use jmake_cpp::lines::{logical_lines, LogicalLine};
+use crate::cond::{parse_directive, CondExpr};
+use jmake_cpp::{analyze, BranchId, CondMap};
 
 /// An `#include` occurrence with the condition under which it fires.
 #[derive(Debug, Clone)]
@@ -45,175 +43,60 @@ pub struct FileAnalysis {
     pub guard: Option<String>,
 }
 
-/// One open conditional region during the walk.
-struct Frame {
-    /// Condition for the branch currently open: its own test conjoined
-    /// with the negation of every earlier branch in the chain.
-    cond: CondExpr,
-    /// Conjunction of negations of all branch tests so far — the premise
-    /// an `#elif`/`#else` inherits.
-    not_taken: CondExpr,
-}
-
 /// Analyze `src`, producing per-line presence conditions.
 pub fn analyze_file(src: &str) -> FileAnalysis {
-    let lls = logical_lines(src);
-    let guard = detect_include_guard(&lls);
-    let total = src.lines().count().max(
-        lls.last().map(|l| l.last_line as usize).unwrap_or(0),
-    );
-    let mut conds = vec![CondExpr::True; total];
-    let mut includes = Vec::new();
-    let mut balanced = true;
-
-    let mut stack: Vec<Frame> = Vec::new();
-    let stack_cond = |stack: &[Frame], depth: usize| -> CondExpr {
-        stack[..depth]
-            .iter()
-            .fold(CondExpr::True, |acc, f| acc.and(f.cond.clone()))
+    let map = analyze(src);
+    let branch_conds = branch_conds(&map.cond_map);
+    let cond_of = |region: Option<BranchId>| match region {
+        Some(b) => branch_conds[b.group as usize][b.branch as usize].clone(),
+        None => CondExpr::True,
     };
-
-    for (idx, ll) in lls.iter().enumerate() {
-        let mut line_cond = stack_cond(&stack, stack.len());
-        if let Some((name, rest)) = ll.directive() {
-            match name {
-                "if" | "ifdef" | "ifndef" => {
-                    // The opener is read whenever the *outer* region is
-                    // active — which is the current full stack.
-                    let mut test = parse_directive(name, rest).unwrap_or(CondExpr::Unknown);
-                    if guard.as_deref().is_some_and(|g| is_guard_opener(&lls, idx, g)) {
-                        test = CondExpr::True;
-                    }
-                    stack.push(Frame {
-                        not_taken: test.clone().negate(),
-                        cond: test,
-                    });
-                }
-                "elif" => match stack.pop() {
-                    Some(frame) => {
-                        line_cond = stack_cond(&stack, stack.len());
-                        let test = parse_if_expr(rest);
-                        stack.push(Frame {
-                            cond: frame.not_taken.clone().and(test.clone()),
-                            not_taken: frame.not_taken.and(test.negate()),
-                        });
-                    }
-                    None => balanced = false,
-                },
-                "else" => match stack.pop() {
-                    Some(frame) => {
-                        line_cond = stack_cond(&stack, stack.len());
-                        stack.push(Frame {
-                            cond: frame.not_taken.clone(),
-                            not_taken: frame.not_taken.and(CondExpr::False),
-                        });
-                    }
-                    None => balanced = false,
-                },
-                "endif" => {
-                    if stack.pop().is_none() {
-                        balanced = false;
-                    }
-                    line_cond = stack_cond(&stack, stack.len());
-                }
-                "include" => {
-                    if let Some(inc) = parse_include(rest) {
-                        includes.push(IncludeRef {
-                            path: inc.0,
-                            quoted: inc.1,
-                            cond: line_cond.clone(),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-        for phys in ll.first_line..=ll.last_line {
-            let i = phys as usize - 1;
-            if i < conds.len() {
-                conds[i] = line_cond.clone();
-            }
-        }
-    }
-    if !stack.is_empty() {
-        balanced = false;
-    }
-
+    let conds = (1..=map.len() as u32)
+        .map(|line| cond_of(map.cond_map.region(line)))
+        .collect();
+    let includes = map
+        .includes
+        .into_iter()
+        .map(|inc| IncludeRef {
+            cond: cond_of(map.cond_map.region(inc.line)),
+            path: inc.target,
+            quoted: inc.quoted,
+        })
+        .collect();
     FileAnalysis {
         conds,
         includes,
-        balanced,
-        guard,
+        balanced: map.cond_map.balanced,
+        guard: map.cond_map.include_guard,
     }
 }
 
-/// `#include "p"` / `#include <p>` → (path, quoted).
-fn parse_include(rest: &str) -> Option<(String, bool)> {
-    let t = rest.trim();
-    if let Some(r) = t.strip_prefix('"') {
-        let end = r.find('"')?;
-        return Some((r[..end].to_string(), true));
-    }
-    if let Some(r) = t.strip_prefix('<') {
-        let end = r.find('>')?;
-        return Some((r[..end].to_string(), false));
-    }
-    None
-}
-
-/// Is logical line `idx` the opener of the detected include guard? The
-/// guard's `#ifndef` is the first non-blank logical line.
-fn is_guard_opener(lls: &[LogicalLine], idx: usize, guard: &str) -> bool {
-    let first = lls.iter().position(|l| !l.is_blank());
-    first == Some(idx)
-        && lls[idx]
-            .directive()
-            .is_some_and(|(n, r)| n == "ifndef" && r.split_whitespace().next() == Some(guard))
-}
-
-/// Detect the classic include-guard shape: the first non-blank logical
-/// line is `#ifndef G`, the second is `#define G`, and the matching
-/// `#endif` is the last non-blank logical line. Inside one translation
-/// unit's first inclusion the guard test is vacuously true, so the frame
-/// can be discharged.
-fn detect_include_guard(lls: &[LogicalLine]) -> Option<String> {
-    let mut nonblank = lls.iter().enumerate().filter(|(_, l)| !l.is_blank());
-    let (open_idx, first) = nonblank.next()?;
-    let (_, second) = nonblank.next()?;
-    let (n1, r1) = first.directive()?;
-    if n1 != "ifndef" {
-        return None;
-    }
-    let guard = r1.split_whitespace().next()?.to_string();
-    let (n2, r2) = second.directive()?;
-    if n2 != "define" || r2.split_whitespace().next() != Some(guard.as_str()) {
-        return None;
-    }
-    // Find where the guard frame closes and make sure nothing non-blank
-    // follows.
-    let mut depth = 0usize;
-    for (idx, ll) in lls.iter().enumerate() {
-        if idx < open_idx {
-            continue;
+/// The full presence condition of every branch, per group: the enclosing
+/// branch's condition conjoined with the branch's own — its test, after
+/// the negation of every earlier test in the chain. The include guard's
+/// test is discharged to `True`.
+fn branch_conds(map: &CondMap) -> Vec<Vec<CondExpr>> {
+    let mut out: Vec<Vec<CondExpr>> = Vec::with_capacity(map.groups.len());
+    for (g, group) in map.groups.iter().enumerate() {
+        let outer = match group.parent {
+            Some(p) => out[p.group as usize][p.branch as usize].clone(),
+            None => CondExpr::True,
+        };
+        let mut not_taken = CondExpr::True;
+        let mut conds = Vec::with_capacity(group.branches.len());
+        for (i, &d) in group.branches.iter().enumerate() {
+            let dir = &map.directives[d];
+            let own = if g == 0 && i == 0 && map.include_guard.is_some() {
+                CondExpr::True
+            } else {
+                parse_directive(dir.kind, &dir.operand)
+            };
+            conds.push(outer.clone().and(not_taken.clone().and(own.clone())));
+            not_taken = not_taken.and(own.negate());
         }
-        if let Some((name, _)) = ll.directive() {
-            match name {
-                "if" | "ifdef" | "ifndef" => depth += 1,
-                "endif" => {
-                    depth = depth.checked_sub(1)?;
-                    if depth == 0 {
-                        return if lls[idx + 1..].iter().all(|l| l.is_blank()) {
-                            Some(guard)
-                        } else {
-                            None
-                        };
-                    }
-                }
-                _ => {}
-            }
-        }
+        out.push(conds);
     }
-    None
+    out
 }
 
 #[cfg(test)]

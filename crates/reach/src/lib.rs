@@ -79,9 +79,13 @@ pub mod file;
 pub use cond::{CondExpr, Truth};
 pub use file::{analyze_file, FileAnalysis, IncludeRef};
 
+use jmake_cpp::include_candidates;
 use jmake_kbuild::tree::{dir_of, file_name, SourceTree};
-use jmake_kbuild::{Cond, Makefile, ObjGraph};
+use jmake_kbuild::{
+    include_search_paths, is_structural, object_of, BuildConfig, Cond, Makefile, ObjGraph,
+};
 use jmake_kconfig::{Config, ConjunctionVerdict, DeadnessProof, KconfigModel, Tristate};
+use jmake_trace::jsonl::escape;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Cap on enumerated condition atoms: 2^8 assignments per condition.
@@ -209,7 +213,7 @@ impl TreeReach {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&json_string(l));
+            out.push_str(&format!("\"{}\"", escape(l)));
         }
         out.push_str("],\n  \"files\": {\n");
         let mut first = true;
@@ -220,8 +224,8 @@ impl TreeReach {
             first = false;
             let (a, c, d) = fr.counts();
             out.push_str(&format!(
-                "    {}: {{\"allyes\": {a}, \"conditional\": {c}, \"dead\": {d}, \"dead_lines\": [",
-                json_string(path)
+                "    \"{}\": {{\"allyes\": {a}, \"conditional\": {c}, \"dead\": {d}, \"dead_lines\": [",
+                escape(path)
             ));
             let mut firstd = true;
             for (idx, cls) in fr.classes.iter().enumerate() {
@@ -231,9 +235,9 @@ impl TreeReach {
                     }
                     firstd = false;
                     out.push_str(&format!(
-                        "{{\"line\": {}, \"proof\": {}}}",
+                        "{{\"line\": {}, \"proof\": \"{}\"}}",
                         idx + 1,
-                        json_string(proof)
+                        escape(proof)
                     ));
                 }
             }
@@ -245,25 +249,6 @@ impl TreeReach {
         ));
         out
     }
-}
-
-/// JSON string literal with escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The whole-tree reachability analyzer.
@@ -296,6 +281,27 @@ impl<'t> Reach<'t> {
     /// Register a solved environment to check lines against.
     pub fn add_env(&mut self, env: ReachEnv) {
         self.envs.push(env);
+    }
+
+    /// Register `arch` from its solved configurations: the allyesconfig
+    /// model, the `<arch>-allyes` environment and, when given, the
+    /// `<arch>-allmod` environment.
+    pub fn add_arch(&mut self, arch: &str, allyes: &BuildConfig, allmod: Option<&BuildConfig>) {
+        self.add_model(arch, allyes.model.clone());
+        self.add_env(ReachEnv {
+            label: format!("{arch}-allyes"),
+            arch: arch.to_string(),
+            config: allyes.config.clone(),
+            allyes: true,
+        });
+        if let Some(allmod) = allmod {
+            self.add_env(ReachEnv {
+                label: format!("{arch}-allmod"),
+                arch: arch.to_string(),
+                config: allmod.config.clone(),
+                allyes: false,
+            });
+        }
     }
 
     /// Classify every line of every `.c`/`.h` file.
@@ -466,9 +472,8 @@ impl<'t> Reach<'t> {
         seen
     }
 
-    /// Mirror of the build engine's include resolution: quoted includes
-    /// try the including directory first, then the search paths
-    /// (`include`, `arch/<arch>/include`), then the bare path.
+    /// The file `#include`-ing `path` from `includer` opens under `arch`,
+    /// found exactly as the build engine finds it.
     fn resolve_include(
         &self,
         includer: &str,
@@ -476,21 +481,7 @@ impl<'t> Reach<'t> {
         quoted: bool,
         arch: &str,
     ) -> Option<String> {
-        let mut candidates = Vec::new();
-        if quoted {
-            let dir = dir_of(includer);
-            if dir.is_empty() {
-                candidates.push(path.to_string());
-            } else {
-                candidates.push(format!("{dir}/{path}"));
-            }
-        }
-        candidates.push(format!("include/{path}"));
-        candidates.push(format!("arch/{arch}/include/{path}"));
-        candidates.push(path.to_string());
-        candidates
-            .into_iter()
-            .map(|c| normalize(&c))
+        include_candidates(path, quoted, includer, &include_search_paths(arch))
             .find(|c| self.tree.contains(c))
     }
 
@@ -946,37 +937,6 @@ fn absorb_level(conds: &[&Cond], vars: &mut Vec<String>) -> bool {
 
 fn single_never(conds: &[&Cond]) -> bool {
     conds.len() == 1 && matches!(conds[0], Cond::Never)
-}
-
-/// The `.o` corresponding to a `.c` file (mirror of
-/// `jmake_kbuild::objgraph`).
-fn object_of(c_path: &str) -> String {
-    let name = file_name(c_path);
-    match name.strip_suffix(".c") {
-        Some(stem) => format!("{stem}.o"),
-        None => name.to_string(),
-    }
-}
-
-/// Directories whose descent Kbuild hardwires (mirror of
-/// `jmake_kbuild::objgraph`).
-fn is_structural(dir: &str) -> bool {
-    dir.is_empty() || dir == "arch" || (dir.starts_with("arch/") && dir.matches('/').count() == 1)
-}
-
-/// Collapse `.` and `..` path segments.
-fn normalize(path: &str) -> String {
-    let mut parts: Vec<&str> = Vec::new();
-    for seg in path.split('/') {
-        match seg {
-            "" | "." => {}
-            ".." => {
-                parts.pop();
-            }
-            s => parts.push(s),
-        }
-    }
-    parts.join("/")
 }
 
 #[cfg(test)]

@@ -18,11 +18,21 @@ echo "==> cargo clippy --all-targets -- -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone \
   -D clippy::needless_pass_by_value -D clippy::manual_let_else
 
+# `:(glob)` makes `*` stop at `/` and `**` cross directories; a plain
+# 'crates/*/src' pathspec names the directories and matches no file.
 echo "==> no Box::leak in crate sources"
 # Leaked allocations live until exit, so a long-lived jmake-serve grows
 # without bound; every cache must own (and be able to drop) its data.
-if git grep -n 'Box::leak' -- 'crates/*/src'; then
+if git grep -n 'Box::leak' -- ':(glob)crates/*/src/**'; then
   echo "Box::leak found in crate sources" >&2
+  exit 1
+fi
+
+echo "==> #if structure is walked only in jmake-cpp"
+# jmake-cpp's conditional map (SourceMap::cond_map) is the one walk over
+# #if/#elif/#else/#endif nesting; a second walker elsewhere drifts from it.
+if git grep -n 'logical_lines' -- ':(glob)crates/*/src/**' ':!crates/cpp/src'; then
+  echo "logical_lines used outside crates/cpp/src: read SourceMap::cond_map instead" >&2
   exit 1
 fi
 
